@@ -250,7 +250,7 @@ void BM_StageSetupArena(benchmark::State& state) {
   std::vector<uint32_t> hints(kArenaItems, std::min(kArenaK, 2 * kArenaLen));
   arena.AllocateFromHints(hints);  // once per corpus, outside the loop
   for (auto _ : state) {
-    arena.ClearSlots();
+    arena.ClearItems(0, kArenaItems);
     for (uint32_t i = 0; i < kArenaItems; ++i) {
       FlatCounts counts = arena.view(i);
       for (uint32_t t : topics[i]) counts.Inc(t);

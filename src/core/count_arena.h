@@ -2,6 +2,7 @@
 #define WARPLDA_CORE_COUNT_ARENA_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -109,9 +110,12 @@ struct CountArena {
     ready = true;
   }
 
-  /// Resets every table to empty (one linear pass over the slab).
-  void ClearSlots() {
-    std::fill(slots.begin(), slots.end(),
+  /// Resets the tables of items [begin, end) to empty — one linear pass
+  /// over their contiguous slice of the slab, so tasks clearing disjoint
+  /// item ranges touch disjoint memory.
+  void ClearItems(uint32_t begin, uint32_t end) {
+    std::fill(slots.begin() + static_cast<std::ptrdiff_t>(offset[begin]),
+              slots.begin() + static_cast<std::ptrdiff_t>(offset[end]),
               HashCount::Entry{HashCount::kEmptyKey, 0});
   }
 

@@ -10,6 +10,25 @@ namespace warplda {
 
 namespace {
 
+// The executor driving a sweep on this thread (see DriverScoped()).
+thread_local ParallelExecutor* tls_driver_scoped = nullptr;
+
+// Sets the driver-scoped executor for one scope and restores the previous
+// value on exit, exceptions included.
+class ScopedDriverExecutor {
+ public:
+  explicit ScopedDriverExecutor(ParallelExecutor* executor)
+      : saved_(tls_driver_scoped) {
+    tls_driver_scoped = executor;
+  }
+  ~ScopedDriverExecutor() { tls_driver_scoped = saved_; }
+  ScopedDriverExecutor(const ScopedDriverExecutor&) = delete;
+  ScopedDriverExecutor& operator=(const ScopedDriverExecutor&) = delete;
+
+ private:
+  ParallelExecutor* saved_;
+};
+
 int64_t NowUs() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -46,7 +65,8 @@ struct ExecutorMetrics {
           "own share of tasks");
       em.end_stage_us = reg.GetHistogram(
           "executor_end_stage_us",
-          "EndStage barrier work: staged-write apply plus delta fold");
+          "EndStage barrier work: staged-write apply, delta fold, and the "
+          "next span's count-arena and alias builds (run on the pool)");
       return em;
     }();
     return m;
@@ -72,8 +92,15 @@ ParallelExecutor::~ParallelExecutor() {
   for (auto& worker : workers_) worker.join();
 }
 
+ParallelExecutor* ParallelExecutor::DriverScoped() {
+  return tls_driver_scoped;
+}
+
 void ParallelExecutor::Run(uint32_t num_tasks, const Task& fn) {
   if (num_tasks == 0) return;
+  // Task bodies run with no driver-scoped executor, so nothing they call
+  // can re-enter Run() on this pool.
+  const ScopedDriverExecutor no_nesting(nullptr);
   if (workers_.empty()) {
     // Same contract as the pooled path: a throwing task does not stop the
     // remaining tasks, and the first exception is rethrown at the end.
@@ -145,12 +172,15 @@ void ParallelExecutor::WorkerLoop(uint32_t worker) {
 void ParallelExecutor::RunSweep(GridSampler& sampler, const SweepPlan& plan,
                                 const StageHook& barrier_hook) {
   // FinishSweep reserves the worker pool (legal at the BeginSweep barrier).
+  // BeginSweep's own barrier builds already run on this pool.
+  const ScopedDriverExecutor scope(this);
   sampler.BeginSweep(plan);
   FinishSweep(sampler, plan, barrier_hook);
 }
 
 void ParallelExecutor::FinishSweep(GridSampler& sampler, const SweepPlan& plan,
                                    const StageHook& barrier_hook) {
+  const ScopedDriverExecutor scope(this);
   const uint32_t doc_blocks = plan.num_doc_blocks;
   const uint32_t word_blocks = plan.num_word_blocks;
   sampler.ReserveWorkers(num_threads_);

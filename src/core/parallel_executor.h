@@ -53,6 +53,14 @@ class ParallelExecutor {
 
   uint32_t num_threads() const { return num_threads_; }
 
+  /// The executor whose RunSweep()/FinishSweep() is running on the calling
+  /// thread, or nullptr. This is how a GridSampler's barrier-side builds
+  /// (called from BeginSweep/EndStage on the driver thread) find the pool
+  /// without a new virtual parameter. Task bodies always see nullptr —
+  /// worker threads never set it and Run() clears it while the driver
+  /// executes its own share — so barrier tasks cannot nest Run().
+  static ParallelExecutor* DriverScoped();
+
   /// Runs fn(worker, t) for every t in [0, num_tasks) and returns when all
   /// have completed. Tasks are claimed dynamically (an atomic cursor), so
   /// uneven task costs balance automatically. If tasks throw, the remaining
@@ -73,6 +81,9 @@ class ParallelExecutor {
   /// wavefront order followed by the EndStage barrier on the calling thread
   /// (where `barrier_hook`, when set, fires). Produces exactly the samples
   /// of GridSampler::RunSweep (and, for a conforming sampler, of Iterate()).
+  /// For its whole duration this executor is DriverScoped(), so the
+  /// sampler's barrier-side builds inside BeginSweep/EndStage may run as
+  /// item-partitioned Run() calls on the same pool.
   void RunSweep(GridSampler& sampler, const SweepPlan& plan,
                 const StageHook& barrier_hook = nullptr);
 

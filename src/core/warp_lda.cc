@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/checkpoint.h"
+#include "core/parallel_executor.h"
 #include "obs/metrics.h"
 
 namespace warplda {
@@ -462,6 +463,10 @@ void WarpLdaSampler::ReserveWorkers(uint32_t num_workers) {
       }
     }
   }
+  GrowScratch(num_workers);
+}
+
+void WarpLdaSampler::GrowScratch(uint32_t num_workers) {
   while (scratch_.size() < num_workers) {
     scratch_.emplace_back().ck_delta.assign(config_.num_topics, 0);
   }
@@ -655,30 +660,92 @@ void WarpLdaSampler::EnsureRowArenaGeometry() {
   row_counts_.AllocateFromHints(hints);
 }
 
+// Barrier-side builds run as item-range tasks on the executor driving the
+// sweep (ParallelExecutor::DriverScoped()), inline without one. Every item's
+// table depends only on z and the item itself, and each task clears and
+// fills only its own contiguous item range — a disjoint slice of the arena
+// slab, disjoint col_alias_ entries, and scratch_[worker] for the entry
+// buffer — so the result is the serial build's, bit for bit, at any width.
+template <typename Weight, typename Fn>
+void WarpLdaSampler::RunItemRanges(uint32_t num_items, const Weight& weight,
+                                   const Fn& fn) {
+  ParallelExecutor* pool = ParallelExecutor::DriverScoped();
+  if (pool == nullptr || pool->num_threads() == 1) {
+    fn(0u, 0u, num_items);
+    return;
+  }
+  GrowScratch(pool->num_threads());
+  // Cut [0, num_items) at equal shares of the cost prefix weight(i), not of
+  // the item count: Zipf-heavy columns would otherwise pile into one chunk.
+  const uint32_t chunks =
+      std::min(num_items, kItemChunksPerThread * pool->num_threads());
+  const uint64_t total = weight(num_items);
+  std::vector<uint32_t> bounds(chunks + 1, num_items);
+  bounds[0] = 0;
+  uint32_t lo = 0;
+  for (uint32_t c = 1; c < chunks; ++c) {
+    const uint64_t target = total * c / chunks;
+    uint32_t hi = num_items;
+    while (lo < hi) {  // first item at or past the target share
+      const uint32_t mid = lo + (hi - lo) / 2;
+      if (weight(mid) < target) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    bounds[c] = lo;
+  }
+  pool->Run(chunks, [&](uint32_t worker, uint32_t c) {
+    fn(worker, bounds[c], bounds[c + 1]);
+  });
+}
+
+uint64_t WarpLdaSampler::ColCostPrefix(uint32_t w) const {
+  // A column's build cost ~ its arena slots (clear, alias scan) plus its
+  // tokens (fill): Zipf-heavy columns outweigh their slot capacity.
+  return col_counts_.offset[w] + matrix_.col_offset(w);
+}
+
 void WarpLdaSampler::BuildColArena() {
   EnsureColArenaGeometry();
-  col_counts_.ClearSlots();
-  for (WordId w = 0; w < corpus_->num_words(); ++w) {
-    auto z = matrix_.col_data(w);
-    if (z.empty()) continue;
-    FlatCounts counts = col_counts_.view(w);
-    for (TopicId topic : z) counts.Inc(topic);
-  }
+  RunItemRanges(
+      corpus_->num_words(), [&](uint32_t w) { return ColCostPrefix(w); },
+      [&](uint32_t, uint32_t begin, uint32_t end) {
+        FillColArenaItemRange(begin, end);
+      });
   grid_.col_filled = true;
+}
+
+void WarpLdaSampler::FillColArenaItemRange(uint32_t begin, uint32_t end) {
+  col_counts_.ClearItems(begin, end);
+  for (WordId w = begin; w < end; ++w) {
+    FlatCounts counts = col_counts_.view(w);
+    for (TopicId topic : matrix_.col_data(w)) counts.Inc(topic);
+  }
 }
 
 void WarpLdaSampler::BuildRowArena() {
   EnsureRowArenaGeometry();
-  row_counts_.ClearSlots();
   // Row tables are only ever read by doc-accept block bodies, so a
   // SetLocalBlocks filter restricts the fill to the rows owned blocks
   // actually visit (unlike the column arena, which the word-accept barrier
   // patches for every block's moves and must stay complete).
   const std::vector<char> needed = LocalItemFilter(/*word_axis=*/false);
-  for (DocId d = 0; d < corpus_->num_docs(); ++d) {
-    auto row = matrix_.row(d);
-    if (row.size() == 0) continue;
+  RunItemRanges(
+      corpus_->num_docs(),
+      [&](uint32_t d) { return row_counts_.offset[d]; },
+      [&](uint32_t, uint32_t begin, uint32_t end) {
+        FillRowArenaItemRange(needed, begin, end);
+      });
+}
+
+void WarpLdaSampler::FillRowArenaItemRange(const std::vector<char>& needed,
+                                           uint32_t begin, uint32_t end) {
+  row_counts_.ClearItems(begin, end);
+  for (DocId d = begin; d < end; ++d) {
     if (!needed.empty() && !needed[d]) continue;
+    auto row = matrix_.row(d);
     FlatCounts counts = row_counts_.view(d);
     for (uint32_t i = 0; i < row.size(); ++i) counts.Inc(row[i]);
   }
@@ -686,14 +753,23 @@ void WarpLdaSampler::BuildRowArena() {
 
 void WarpLdaSampler::BuildColAliases() {
   col_alias_.resize(corpus_->num_words());
-  // One order-stable build per column per sweep — not per (block × column);
-  // built at the span barrier where every worker is quiescent, so borrowing
-  // worker 0's entry scratch is safe. Under a SetLocalBlocks filter only the
-  // columns an owned block will read are built: a distributed worker skips
-  // the (V − V/P) tables whose propose work happens in other processes.
+  // One order-stable build per column per sweep — not per (block × column).
+  // Under a SetLocalBlocks filter only the columns an owned block will read
+  // are built: a distributed worker skips the (V − V/P) tables whose
+  // propose work happens in other processes.
   const std::vector<char> needed = LocalItemFilter(/*word_axis=*/true);
-  ThreadScratch& s = scratch_[0];
-  for (WordId w = 0; w < corpus_->num_words(); ++w) {
+  RunItemRanges(
+      corpus_->num_words(), [&](uint32_t w) { return ColCostPrefix(w); },
+      [&](uint32_t worker, uint32_t begin, uint32_t end) {
+        BuildColAliasItemRange(worker, needed, begin, end);
+      });
+}
+
+void WarpLdaSampler::BuildColAliasItemRange(uint32_t worker,
+                                            const std::vector<char>& needed,
+                                            uint32_t begin, uint32_t end) {
+  ThreadScratch& s = scratch_[worker];
+  for (WordId w = begin; w < end; ++w) {
     if (matrix_.col_data(w).empty()) continue;
     if (!needed.empty() && !needed[w]) continue;
     const FlatCounts counts = col_counts_.view(w);

@@ -288,6 +288,11 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// that the SoA scratch stays L1-resident.
   static constexpr uint32_t kAcceptChunk = 256;
 
+  /// Item ranges per pool thread for barrier-side builds: enough that
+  /// dynamic claiming evens out per-range cost skew, few enough that the
+  /// per-task handshake stays negligible.
+  static constexpr uint32_t kItemChunksPerThread = 16;
+
   /// Per-phase base of the token RNG streams. Hashed once when a phase (or
   /// grid sweep) opens, not once per token.
   uint64_t StreamBase(uint64_t epoch) const {
@@ -414,6 +419,27 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// column arena — once per column per sweep, replacing the old
   /// once-per-(block × column) rebuilds.
   void BuildColAliases();
+
+  /// Grows scratch_ to `num_workers` entries (ReserveWorkers' body; also
+  /// used by RunItemRanges for the pool it hands tasks to).
+  void GrowScratch(uint32_t num_workers);
+  /// Runs fn(worker, begin, end) over contiguous ranges covering items
+  /// [0, num_items): as tasks on ParallelExecutor::DriverScoped() when a
+  /// sweep driver provides one, as one inline range otherwise. `weight(i)`
+  /// is a non-decreasing cost prefix (weight(num_items) = total cost);
+  /// ranges carry equal cost shares. Barrier-side only.
+  template <typename Weight, typename Fn>
+  void RunItemRanges(uint32_t num_items, const Weight& weight, const Fn& fn);
+  /// Cost prefix of the column builds over columns [0, w).
+  uint64_t ColCostPrefix(uint32_t w) const;
+  /// Barrier-task bodies of the builds above, one item range each. Tasks of
+  /// one build run concurrently: each clears and fills only its own items'
+  /// arena slots / col_alias_ entries and uses scratch_[worker] alone.
+  void FillColArenaItemRange(uint32_t begin, uint32_t end);
+  void FillRowArenaItemRange(const std::vector<char>& needed, uint32_t begin,
+                             uint32_t end);
+  void BuildColAliasItemRange(uint32_t worker, const std::vector<char>& needed,
+                              uint32_t begin, uint32_t end);
 
   /// Grid block bodies, one per (span pattern, axis). Concurrency-safe
   /// across distinct blocks: they read shared *immutable* span state, write

@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <vector>
@@ -15,11 +16,24 @@ bool Fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
 }
+
+// Largest accepted count on one entry line. A bag-of-words count beyond
+// this is a corrupt or hostile file, not a document, and would otherwise
+// make the reader materialize billions of tokens.
+constexpr int64_t kMaxEntryCount = int64_t{1} << 20;
+// Shortest possible entry: three one-digit ids separated by whitespace, plus
+// the whitespace ending the previous line.
+constexpr uint64_t kMinEntryBytes = 6;
 }  // namespace
 
 bool ReadDocword(const std::string& path, Corpus* corpus, std::string* error) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) return Fail(error, "cannot open " + path);
+  in.seekg(0, std::ios::end);
+  const std::streamoff end = in.tellg();
+  in.seekg(0, std::ios::beg);
+  if (end < 0 || !in) return Fail(error, path + ": cannot determine file size");
+  const uint64_t file_bytes = static_cast<uint64_t>(end);
 
   uint64_t d_count = 0;
   uint64_t w_count = 0;
@@ -27,32 +41,69 @@ bool ReadDocword(const std::string& path, Corpus* corpus, std::string* error) {
   if (!(in >> d_count >> w_count >> nnz)) {
     return Fail(error, path + ": malformed header");
   }
-
-  // Documents may appear out of order in the file; bucket tokens by doc.
-  std::vector<std::vector<WordId>> docs(d_count);
-  for (uint64_t i = 0; i < nnz; ++i) {
-    uint64_t doc_id = 0;
-    uint64_t word_id = 0;
-    int64_t count = 0;
-    if (!(in >> doc_id >> word_id >> count)) {
-      return Fail(error, path + ": truncated entry list");
-    }
-    if (doc_id < 1 || doc_id > d_count) {
-      return Fail(error, path + ": doc id out of range");
-    }
-    if (word_id < 1 || word_id > w_count) {
-      return Fail(error, path + ": word id out of range");
-    }
-    if (count <= 0) return Fail(error, path + ": non-positive count");
-    auto& doc = docs[doc_id - 1];
-    doc.insert(doc.end(), static_cast<size_t>(count),
-               static_cast<WordId>(word_id - 1));
+  // Validate every size before allocating anything from it: the document
+  // and vocabulary tables are O(D) and O(W), and the entry list O(NNZ).
+  // None can exceed what a file of this size can describe, nor the id types.
+  const std::string bytes = std::to_string(file_bytes) + "-byte file";
+  if (d_count > std::numeric_limits<DocId>::max() || d_count > file_bytes) {
+    return Fail(error, path + ": header claims " + std::to_string(d_count) +
+                           " documents, more than a " + bytes +
+                           " or the DocId range can hold");
+  }
+  if (w_count >= std::numeric_limits<WordId>::max()) {
+    return Fail(error, path + ": header claims " + std::to_string(w_count) +
+                           " words, beyond the WordId range");
+  }
+  if (w_count > file_bytes) {
+    return Fail(error, path + ": header claims " + std::to_string(w_count) +
+                           " words, more than a " + bytes + " can describe");
+  }
+  if (nnz > file_bytes / kMinEntryBytes) {
+    return Fail(error, path + ": header claims " + std::to_string(nnz) +
+                           " entries, more than a " + bytes + " can hold");
   }
 
-  CorpusBuilder builder;
-  builder.set_num_words(static_cast<WordId>(w_count));
-  for (auto& doc : docs) builder.AddDocument(doc);
-  *corpus = builder.Build();
+  // Documents may appear out of order in the file; bucket tokens by doc.
+  // The sizes are bounded now, but the token total (at most NNZ capped
+  // counts) may still outgrow memory: report that as an error too.
+  try {
+    std::vector<std::vector<WordId>> docs(d_count);
+    for (uint64_t i = 0; i < nnz; ++i) {
+      uint64_t doc_id = 0;
+      uint64_t word_id = 0;
+      int64_t count = 0;
+      if (!(in >> doc_id >> word_id >> count)) {
+        return Fail(error, path + ": truncated entry list");
+      }
+      if (doc_id < 1 || doc_id > d_count) {
+        return Fail(error, path + ": doc id out of range");
+      }
+      if (word_id < 1 || word_id > w_count) {
+        return Fail(error, path + ": word id out of range");
+      }
+      if (count <= 0) return Fail(error, path + ": non-positive count");
+      if (count > kMaxEntryCount) {
+        return Fail(error, path + ": count " + std::to_string(count) +
+                               " exceeds the per-entry limit of " +
+                               std::to_string(kMaxEntryCount));
+      }
+      auto& doc = docs[doc_id - 1];
+      if (doc.size() + static_cast<uint64_t>(count) >
+          std::numeric_limits<uint32_t>::max()) {
+        return Fail(error, path + ": document " + std::to_string(doc_id) +
+                               " exceeds the per-document token limit");
+      }
+      doc.insert(doc.end(), static_cast<size_t>(count),
+                 static_cast<WordId>(word_id - 1));
+    }
+
+    CorpusBuilder builder;
+    builder.set_num_words(static_cast<WordId>(w_count));
+    for (auto& doc : docs) builder.AddDocument(doc);
+    *corpus = builder.Build();
+  } catch (const std::bad_alloc&) {
+    return Fail(error, path + ": corpus too large to load into memory");
+  }
   return true;
 }
 

@@ -22,6 +22,10 @@ namespace uci {
 /// Parses a docword file. Returns false (and fills *error) on malformed
 /// input: bad header, ids out of range, or non-positive counts.
 /// Entries may arrive in any order; documents come out ordered by id.
+/// Header sizes are validated before anything is allocated from them — D
+/// and W may not exceed the file's byte size or their id types, NNZ not
+/// what the file can hold — and per-entry counts are capped, so a hostile
+/// or corrupt header yields an error rather than an allocation failure.
 bool ReadDocword(const std::string& path, Corpus* corpus, std::string* error);
 
 /// Parses a vocab file (one word per line).

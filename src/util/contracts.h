@@ -8,17 +8,21 @@
 //   WARP_WORKER_LOCAL
 //     On a member: per-worker state. Inside concurrent grid bodies
 //     (RunBlock / Run*Part / AcceptSegment / AcceptChain / Draw* / RunTasks)
-//     every access must be indexed by the worker argument
-//     (`scratch_[worker]`) — touching another worker's slot races with its
-//     owner. On a struct: any member anywhere holding that type must itself
-//     be annotated WARP_WORKER_LOCAL.
+//     and barrier tasks (*ItemRange) every access must be indexed by the
+//     worker argument (`scratch_[worker]`) — touching another worker's slot
+//     races with its owner. On a struct: any member anywhere holding that
+//     type must itself be annotated WARP_WORKER_LOCAL.
 //
 //   WARP_BARRIER_ONLY
 //     Shared state that workers read during a stage but that may only be
 //     written between stages (BeginSweep / EndStage / ApplyStagedMoves /
 //     EndSweep — code running under the executor barrier). Any write from
 //     a concurrent grid body is a race by construction: stage the change in
-//     ThreadScratch and apply it barrier-side.
+//     ThreadScratch and apply it barrier-side. Barrier-side builds (count
+//     arenas, alias tables) run on the executor pool as *ItemRange tasks,
+//     each writing only the elements of its own disjoint item range; the
+//     container itself (resize, clear, assign) is still changed only on the
+//     driver thread, which warplint checks since those bodies are concurrent.
 //
 //   WARP_IMMUTABLE_AFTER(Method, ...)
 //     Frozen after setup: only the listed methods (plus constructors) may

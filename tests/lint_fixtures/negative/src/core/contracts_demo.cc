@@ -18,3 +18,9 @@ void DemoSampler::RunBlock(uint32_t worker, uint32_t block) {
 void DemoSampler::EndStage() {
   stage_epoch_ += 1;  // stage barrier: the sanctioned write site
 }
+
+void DemoSampler::FillDemoItemRange(uint32_t worker, uint32_t begin,
+                                    uint32_t end) {
+  DemoScratch& scratch = scratch_[worker];  // barrier task: own scratch only
+  for (uint32_t i = begin; i < end; ++i) scratch.counts.push_back(i);
+}

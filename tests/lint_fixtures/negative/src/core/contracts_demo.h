@@ -12,6 +12,7 @@ class DemoSampler {
   void Init(uint32_t n);
   void RunBlock(uint32_t worker, uint32_t block);
   void EndStage();
+  void FillDemoItemRange(uint32_t worker, uint32_t begin, uint32_t end);
 
  private:
   WARP_BARRIER_ONLY uint64_t stage_epoch_ = 0;

@@ -16,3 +16,11 @@ void DemoSampler::RunBlock(uint32_t worker, uint32_t block) {
 void DemoSampler::EndStage() {
   stage_epoch_ += 1;  // barrier side: legal
 }
+
+// A barrier task (one item range per pool task) is a concurrent body too.
+void DemoSampler::FillDemoItemRange(uint32_t worker, uint32_t begin,
+                                    uint32_t end) {
+  for (uint32_t i = begin; i < end; ++i) {
+    scratch_[0].counts.push_back(i);  // borrows worker 0's scratch: a race
+  }
+}

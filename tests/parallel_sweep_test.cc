@@ -3,19 +3,23 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
 #include "core/trainer.h"
 #include "core/warp_lda.h"
 #include "corpus/synthetic.h"
 #include "dist/cluster_sim.h"
 #include "dist/partitioner.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace warplda {
@@ -421,6 +425,369 @@ TEST(ParallelSweepTest, TrainWithTracePathWritesChromeTraceJson) {
   // 4 blocks per stage, 4 stages, 3 sweeps.
   EXPECT_EQ(CountTraceEvents(json, "block", "executor", 'B'),
             options.iterations * 4u * 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Barrier-side builds on the pool. While ParallelExecutor::RunSweep /
+// FinishSweep drive a sweep, the sampler's span-barrier builds (column and
+// row count arenas, column alias tables) run as item-range tasks on the same
+// executor; everywhere else they run inline. These tests pin that hand-off
+// and prove the result is bit-identical at every width.
+
+// Forwards the GridSampler protocol to a WarpLdaSampler, with optional hooks
+// that observe or disturb it from inside block tasks and stage barriers.
+class ForwardingSampler : public GridSampler {
+ public:
+  explicit ForwardingSampler(WarpLdaSampler& inner) : inner_(inner) {}
+
+  void BeginSweep(const SweepPlan& plan) override {
+    if (on_barrier) on_barrier();
+    inner_.BeginSweep(plan);
+  }
+  void RunBlock(uint32_t doc_block, uint32_t word_block,
+                uint32_t worker) override {
+    if (on_block) on_block(worker);
+    inner_.RunBlock(doc_block, word_block, worker);
+  }
+  void ReserveWorkers(uint32_t num_workers) override {
+    inner_.ReserveWorkers(num_workers);
+  }
+  void EndStage() override {
+    inner_.EndStage();
+    if (on_barrier) on_barrier();
+  }
+  void EndSweep() override { inner_.EndSweep(); }
+  void AbortSweep() override { inner_.AbortSweep(); }
+  SweepStage sweep_stage() const override { return inner_.sweep_stage(); }
+
+  std::function<void(uint32_t worker)> on_block;
+  std::function<void()> on_barrier;
+
+ private:
+  WarpLdaSampler& inner_;
+};
+
+struct NamedPlanConfig {
+  const char* name;
+  SweepPlan plan;
+  bool asymmetric_alpha;
+};
+
+std::vector<NamedPlanConfig> BarrierMatrixPlans(const Corpus& corpus) {
+  return {
+      {"trivial", SweepPlan::Trivial(), false},
+      {"1x4", MakeSweepPlan(corpus, 1, 4, PartitionStrategy::kGreedy), false},
+      {"4x1", MakeSweepPlan(corpus, 4, 1, PartitionStrategy::kGreedy), false},
+      {"4x4", MakeSweepPlan(corpus, 4, 4, PartitionStrategy::kGreedy), true},
+      {"8x8", MakeSweepPlan(corpus, 8, 8, PartitionStrategy::kGreedy), false},
+  };
+}
+
+LdaConfig MatrixConfig(bool asymmetric_alpha) {
+  LdaConfig config = TestConfig();
+  if (asymmetric_alpha) {
+    config.alpha_vector.assign(config.num_topics, 0.08);
+    config.alpha_vector[0] = 1.4;
+    config.alpha_vector[3] = 0.4;
+  }
+  return config;
+}
+
+// Every plan shape (trivial and 1x4/4x1 fuse both span kinds, 8x8 only
+// [wp, da]), both fusion settings and 1/2/4/8 pool threads: pool-built
+// arenas and alias tables must sample exactly like Iterate() and like the
+// serial GridSampler::RunSweep, which builds everything inline.
+TEST(ParallelSweepTest, PoolBarrierBuildsMatchIterateAndSerialRunSweep) {
+  Corpus corpus = TestCorpus();
+  constexpr int kSweeps = 3;
+  for (const NamedPlanConfig& npc : BarrierMatrixPlans(corpus)) {
+    const LdaConfig config = MatrixConfig(npc.asymmetric_alpha);
+    WarpLdaSampler reference;
+    reference.Init(corpus, config);
+    std::vector<std::vector<TopicId>> expected_z;
+    std::vector<std::vector<int64_t>> expected_ck;
+    for (int sweep = 0; sweep < kSweeps; ++sweep) {
+      reference.Iterate();
+      expected_z.push_back(reference.Assignments());
+      expected_ck.push_back(reference.topic_counts());
+    }
+    for (StageFusion fusion : {StageFusion::kNone, StageFusion::kAuto}) {
+      WarpLdaOptions options;
+      options.fusion = fusion;
+      WarpLdaSampler serial(options);
+      serial.Init(corpus, config);
+      for (int sweep = 0; sweep < kSweeps; ++sweep) {
+        serial.RunSweep(npc.plan);
+        ASSERT_EQ(serial.Assignments(), expected_z[sweep]) << npc.name;
+        ASSERT_EQ(serial.topic_counts(), expected_ck[sweep]) << npc.name;
+      }
+      for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+        WarpLdaSampler pooled(options);
+        pooled.Init(corpus, config);
+        ParallelExecutor executor(threads);
+        for (int sweep = 0; sweep < kSweeps; ++sweep) {
+          executor.RunSweep(pooled, npc.plan);
+          ASSERT_EQ(pooled.Assignments(), expected_z[sweep])
+              << "plan " << npc.name << " fusion "
+              << (fusion == StageFusion::kAuto ? "auto" : "none")
+              << " threads " << threads << " sweep " << sweep;
+          ASSERT_EQ(pooled.topic_counts(), expected_ck[sweep])
+              << "plan " << npc.name << " threads " << threads;
+        }
+        EXPECT_EQ(ParallelExecutor::DriverScoped(), nullptr);
+      }
+    }
+  }
+}
+
+// The hand-off itself: the driving executor is visible on the driver thread
+// at every barrier of RunSweep/FinishSweep, never inside a task body (not
+// even on worker 0, which is the driver thread), and gone afterwards.
+TEST(ParallelSweepTest, DriverScopedExecutorIsVisibleOnlyAtBarriers) {
+  Corpus corpus = TestCorpus();
+  WarpLdaSampler inner;
+  inner.Init(corpus, TestConfig());
+  ForwardingSampler sampler(inner);
+  ParallelExecutor executor(4);
+  std::atomic<int> blocks_seeing_executor{0};
+  int barriers = 0;
+  int barriers_seeing_executor = 0;
+  sampler.on_block = [&](uint32_t) {
+    if (ParallelExecutor::DriverScoped() != nullptr) ++blocks_seeing_executor;
+  };
+  sampler.on_barrier = [&] {
+    ++barriers;
+    if (ParallelExecutor::DriverScoped() == &executor) {
+      ++barriers_seeing_executor;
+    }
+  };
+  EXPECT_EQ(ParallelExecutor::DriverScoped(), nullptr);
+  executor.RunSweep(sampler, MakeSweepPlan(corpus, 3, 3));
+  EXPECT_EQ(ParallelExecutor::DriverScoped(), nullptr);
+  EXPECT_EQ(blocks_seeing_executor.load(), 0);
+  EXPECT_GE(barriers, 3);  // BeginSweep + at least two EndStage barriers
+  EXPECT_EQ(barriers_seeing_executor, barriers);
+
+  // The sampler does hand its builds to that pool: an unfused sweep makes
+  // one Run() per stage (4) plus one per barrier build — the column arena
+  // at BeginSweep, the alias tables at word-propose entry, the row arena at
+  // doc-accept entry — and every pooled Run() observes the barrier-wait
+  // histogram once.
+  {
+    WarpLdaOptions unfused;
+    unfused.fusion = StageFusion::kNone;
+    WarpLdaSampler builds(unfused);
+    builds.Init(corpus, TestConfig());
+    obs::SetMetricsEnabled(true);
+    executor.RunSweep(builds, MakeSweepPlan(corpus, 3, 3));  // registers it
+    obs::Histogram* runs = obs::MetricsRegistry::Global().GetHistogram(
+        "executor_barrier_wait_us");
+    const uint64_t before = runs->Snapshot().count;
+    executor.RunSweep(builds, MakeSweepPlan(corpus, 3, 3));
+    const uint64_t pooled_runs = runs->Snapshot().count - before;
+    obs::SetMetricsEnabled(false);
+    EXPECT_EQ(pooled_runs, 4u + 3u);
+  }
+
+  // Plain Run() tasks see nothing either, and the serial protocol driver
+  // leaves the builds inline.
+  executor.Run(16, [&](uint32_t, uint32_t) {
+    if (ParallelExecutor::DriverScoped() != nullptr) ++blocks_seeing_executor;
+  });
+  EXPECT_EQ(blocks_seeing_executor.load(), 0);
+  barriers = barriers_seeing_executor = 0;
+  sampler.RunSweep(MakeSweepPlan(corpus, 3, 3));
+  EXPECT_GE(barriers, 3);
+  EXPECT_EQ(barriers_seeing_executor, 0);
+}
+
+// Two samplers that each own half of a 4x4 grid (SetLocalBlocks), driven
+// like a two-process distributed run but on one pool: each block runs on
+// its owner with RunBlockCaptured, and its delta is injected into the other
+// sampler at the barrier. The filtered pool builds (only owned items' row
+// tables and alias tables) must keep both on the Iterate() trajectory.
+class SplitOwnerSampler : public GridSampler {
+ public:
+  SplitOwnerSampler(WarpLdaSampler& a, WarpLdaSampler& b,
+                    std::vector<char> owned_by_a)
+      : parts_{&a, &b}, owned_by_a_(std::move(owned_by_a)) {
+    std::vector<char> owned_by_b(owned_by_a_.size());
+    for (size_t i = 0; i < owned_by_a_.size(); ++i) {
+      owned_by_b[i] = owned_by_a_[i] ? 0 : 1;
+    }
+    a.SetLocalBlocks(owned_by_a_);
+    b.SetLocalBlocks(owned_by_b);
+  }
+
+  void BeginSweep(const SweepPlan& plan) override {
+    num_word_blocks_ = plan.num_word_blocks;
+    deltas_.assign(owned_by_a_.size(), GridBlockDelta{});
+    for (WarpLdaSampler* part : parts_) part->BeginSweep(plan);
+  }
+  void ReserveWorkers(uint32_t num_workers) override {
+    for (WarpLdaSampler* part : parts_) part->ReserveWorkers(num_workers);
+  }
+  void RunBlock(uint32_t doc_block, uint32_t word_block,
+                uint32_t worker) override {
+    const size_t b = static_cast<size_t>(doc_block) * num_word_blocks_ +
+                     word_block;
+    WarpLdaSampler* owner = owned_by_a_[b] ? parts_[0] : parts_[1];
+    ASSERT_TRUE(
+        owner->RunBlockCaptured(doc_block, word_block, worker, &deltas_[b]));
+  }
+  void EndStage() override {
+    for (size_t b = 0; b < deltas_.size(); ++b) {
+      WarpLdaSampler* peer = owned_by_a_[b] ? parts_[1] : parts_[0];
+      std::string error;
+      ASSERT_TRUE(peer->ApplyBlockDelta(deltas_[b], &error)) << error;
+    }
+    for (WarpLdaSampler* part : parts_) part->EndStage();
+  }
+  void EndSweep() override {
+    for (WarpLdaSampler* part : parts_) part->EndSweep();
+  }
+  void AbortSweep() override {
+    for (WarpLdaSampler* part : parts_) part->AbortSweep();
+  }
+  SweepStage sweep_stage() const override { return parts_[0]->sweep_stage(); }
+
+ private:
+  WarpLdaSampler* parts_[2];
+  std::vector<char> owned_by_a_;
+  uint32_t num_word_blocks_ = 1;
+  std::vector<GridBlockDelta> deltas_;  // one slot per block
+};
+
+TEST(ParallelSweepTest, LocalBlocksFilteredPoolSweepMatchesIterate) {
+  Corpus corpus = TestCorpus();
+  LdaConfig config = TestConfig();
+  SweepPlan plan = MakeSweepPlan(corpus, 4, 4, PartitionStrategy::kGreedy);
+  WarpLdaSampler reference;
+  reference.Init(corpus, config);
+  for (int sweep = 0; sweep < 3; ++sweep) reference.Iterate();
+
+  // Sampler A owns doc blocks 0-1, B owns 2-3 — the row-partitioned
+  // ownership a two-worker distributed run uses.
+  std::vector<char> owned_by_a(16, 0);
+  for (size_t b = 0; b < 8; ++b) owned_by_a[b] = 1;
+  for (StageFusion fusion : {StageFusion::kNone, StageFusion::kAuto}) {
+    for (uint32_t threads : {2u, 4u}) {
+      WarpLdaOptions options;
+      options.fusion = fusion;
+      WarpLdaSampler a(options);
+      WarpLdaSampler b(options);
+      a.Init(corpus, config);
+      b.Init(corpus, config);
+      SplitOwnerSampler split(a, b, owned_by_a);
+      ParallelExecutor executor(threads);
+      for (int sweep = 0; sweep < 3; ++sweep) executor.RunSweep(split, plan);
+      EXPECT_EQ(a.Assignments(), reference.Assignments())
+          << "threads " << threads;
+      EXPECT_EQ(b.Assignments(), reference.Assignments())
+          << "threads " << threads;
+      EXPECT_EQ(a.topic_counts(), reference.topic_counts());
+      EXPECT_EQ(b.topic_counts(), reference.topic_counts());
+    }
+  }
+}
+
+// A sweep checkpointed at every mid-sweep barrier on a 2-thread pool,
+// restored into a fresh sampler (RestoreSweepState rebuilds its span state
+// inline) and finished by FinishSweep at 1, 4 and 8 threads, must land on
+// the uninterrupted trajectory.
+TEST(ParallelSweepTest, MidSweepRestoreFinishedAtAnotherWidthIsBitIdentical) {
+  Corpus corpus = TestCorpus();
+  LdaConfig config = TestConfig();
+  SweepPlan plan = MakeSweepPlan(corpus, 8, 8, PartitionStrategy::kGreedy);
+  WarpLdaSampler reference;
+  reference.Init(corpus, config);
+  for (int sweep = 0; sweep < 3; ++sweep) reference.Iterate();
+
+  for (StageFusion fusion : {StageFusion::kNone, StageFusion::kAuto}) {
+    WarpLdaOptions options;
+    options.fusion = fusion;
+    WarpLdaSampler victim(options);
+    victim.Init(corpus, config);
+    ParallelExecutor capture_exec(2);
+    capture_exec.RunSweep(victim, plan);
+    std::vector<SweepCheckpoint> captured;
+    capture_exec.RunSweep(victim, plan, [&](SweepStage) {
+      SweepCheckpoint state;
+      ASSERT_TRUE(victim.CaptureSweepState(&state));
+      captured.push_back(std::move(state));
+    });
+    ASSERT_EQ(captured.size(), fusion == StageFusion::kNone ? 3u : 2u);
+    for (const SweepCheckpoint& state : captured) {
+      for (uint32_t threads : {1u, 4u, 8u}) {
+        WarpLdaSampler resumed(options);
+        resumed.Init(corpus, config);
+        std::string error;
+        ASSERT_TRUE(resumed.RestoreSweepState(state, &error)) << error;
+        ParallelExecutor resume_exec(threads);
+        resume_exec.FinishSweep(resumed, state.plan);
+        resume_exec.RunSweep(resumed, plan);
+        EXPECT_EQ(resumed.Assignments(), reference.Assignments())
+            << "restored at " << ToString(state.next_stage) << " threads "
+            << threads;
+        EXPECT_EQ(resumed.topic_counts(), reference.topic_counts());
+      }
+    }
+  }
+}
+
+// A task that throws — a block body, or a task the driver runs on the pool
+// at a barrier — aborts the sweep: the exception reaches the caller, the
+// driver-scoped executor is cleared, and the sampler and pool stay usable.
+TEST(ParallelSweepTest, ThrowingTaskAbortsSweepAndClearsDriverScope) {
+  Corpus corpus = TestCorpus();
+  LdaConfig config = TestConfig();
+  SweepPlan plan = MakeSweepPlan(corpus, 4, 4);
+  for (bool at_barrier : {false, true}) {
+    WarpLdaSampler inner;
+    inner.Init(corpus, config);
+    ForwardingSampler sampler(inner);
+    ParallelExecutor executor(4);
+    executor.RunSweep(sampler, plan);
+    std::atomic<int> blocks{0};
+    int barriers = 0;
+    if (at_barrier) {
+      sampler.on_barrier = [&] {
+        if (++barriers != 2) return;  // the first EndStage barrier
+        ParallelExecutor* pool = ParallelExecutor::DriverScoped();
+        ASSERT_EQ(pool, &executor);
+        pool->Run(32, [](uint32_t, uint32_t task) {
+          if (task == 11) throw std::runtime_error("barrier task");
+        });
+      };
+    } else {
+      sampler.on_block = [&](uint32_t) {
+        if (++blocks == 5) throw std::runtime_error("block task");
+      };
+    }
+    EXPECT_THROW(executor.RunSweep(sampler, plan), std::runtime_error);
+    EXPECT_EQ(ParallelExecutor::DriverScoped(), nullptr);
+    EXPECT_EQ(inner.sweep_stage(), SweepStage::kDone);
+    EXPECT_EQ(inner.topic_counts(),
+              Histogram(inner.Assignments(), config.num_topics));
+
+    sampler.on_block = nullptr;
+    sampler.on_barrier = nullptr;
+    executor.RunSweep(sampler, plan);
+    EXPECT_EQ(inner.topic_counts(),
+              Histogram(inner.Assignments(), config.num_topics));
+    // The recovered state is self-consistent: restored into a fresh
+    // sampler, a serial sweep from it matches the pool sweep from it.
+    SweepCheckpoint state;
+    ASSERT_TRUE(inner.CaptureSweepState(&state));
+    WarpLdaSampler twin;
+    twin.Init(corpus, config);
+    std::string error;
+    ASSERT_TRUE(twin.RestoreSweepState(state, &error)) << error;
+    executor.RunSweep(inner, plan);
+    twin.RunSweep(plan);
+    EXPECT_EQ(inner.Assignments(), twin.Assignments());
+    EXPECT_EQ(inner.topic_counts(), twin.topic_counts());
+  }
 }
 
 }  // namespace

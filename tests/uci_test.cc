@@ -155,5 +155,71 @@ TEST_F(UciTest, EntriesInAnyOrder) {
   EXPECT_EQ(corpus.doc_length(1), 1u);
 }
 
+// Hostile headers and counts: each of these used to abort the process with
+// std::bad_alloc (or silently truncate) before a single entry was checked.
+// The reader must refuse them with an error, without allocating.
+TEST_F(UciTest, RejectsDocCountBeyondFileSize) {
+  std::string path = TempPath("docword_huge_d.txt");
+  WriteFile(path, "1000000000000\n2\n1\n1 1 1\n");  // 10^12 documents
+  Corpus corpus;
+  std::string error;
+  EXPECT_FALSE(uci::ReadDocword(path, &corpus, &error));
+  EXPECT_NE(error.find("1000000000000 documents"), std::string::npos)
+      << error;
+}
+
+TEST_F(UciTest, RejectsEntryCountAboveCap) {
+  std::string path = TempPath("docword_huge_count.txt");
+  WriteFile(path, "1\n2\n1\n1 1 4000000000\n");  // 4*10^9 tokens
+  Corpus corpus;
+  std::string error;
+  EXPECT_FALSE(uci::ReadDocword(path, &corpus, &error));
+  EXPECT_NE(error.find("count 4000000000"), std::string::npos) << error;
+}
+
+TEST_F(UciTest, RejectsVocabularyBeyondWordIdRange) {
+  std::string path = TempPath("docword_huge_w.txt");
+  WriteFile(path, "1\n5000000000\n1\n1 1 1\n");  // 5*10^9 words
+  Corpus corpus;
+  std::string error;
+  EXPECT_FALSE(uci::ReadDocword(path, &corpus, &error));
+  EXPECT_NE(error.find("WordId range"), std::string::npos) << error;
+}
+
+TEST_F(UciTest, RejectsSizesTheFileCannotDescribe) {
+  Corpus corpus;
+  std::string error;
+  // A vocabulary inside the WordId range but larger than the file.
+  std::string path = TempPath("docword_big_w.txt");
+  WriteFile(path, "1\n3000000000\n1\n1 1 1\n");
+  EXPECT_FALSE(uci::ReadDocword(path, &corpus, &error));
+  EXPECT_NE(error.find("3000000000 words"), std::string::npos) << error;
+  // More entries than the file has room for.
+  path = TempPath("docword_big_nnz.txt");
+  WriteFile(path, "1\n2\n1000000000000\n1 1 1\n");
+  EXPECT_FALSE(uci::ReadDocword(path, &corpus, &error));
+  EXPECT_NE(error.find("1000000000000 entries"), std::string::npos) << error;
+  // A count at the per-entry cap is accepted.
+  path = TempPath("docword_cap.txt");
+  WriteFile(path, "1\n2\n1\n1 2 1048576\n");
+  ASSERT_TRUE(uci::ReadDocword(path, &corpus, &error)) << error;
+  EXPECT_EQ(corpus.num_tokens(), 1048576u);
+  EXPECT_EQ(corpus.word_frequency(1), 1048576u);
+}
+
+// Empty documents the header declares but no entry mentions keep their ids.
+TEST_F(UciTest, KeepsEmptyDocuments) {
+  std::string path = TempPath("docword_empty_docs.txt");
+  WriteFile(path, "4\n2\n2\n3 2 2\n1 1 1\n");
+  Corpus corpus;
+  std::string error;
+  ASSERT_TRUE(uci::ReadDocword(path, &corpus, &error)) << error;
+  ASSERT_EQ(corpus.num_docs(), 4u);
+  EXPECT_EQ(corpus.doc_length(0), 1u);
+  EXPECT_EQ(corpus.doc_length(1), 0u);
+  EXPECT_EQ(corpus.doc_length(2), 2u);
+  EXPECT_EQ(corpus.doc_length(3), 0u);
+}
+
 }  // namespace
 }  // namespace warplda

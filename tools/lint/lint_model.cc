@@ -384,6 +384,11 @@ bool IsHotFunction(const std::string& name) {
 bool IsContractHotBody(const std::string& name) {
   if (name == "RunBlock" || name == "RunBlockCaptured" || name == "RunTasks")
     return true;
+  // Barrier tasks: span-barrier builds split into item ranges that run
+  // concurrently on the executor pool (WarpLdaSampler::*ItemRange).
+  if (name.size() > 9 &&
+      name.compare(name.size() - 9, 9, "ItemRange") == 0)
+    return true;
   if (StartsWith(name, "Run") && name.size() >= 4 &&
       name.compare(name.size() - 4, 4, "Part") == 0)
     return true;

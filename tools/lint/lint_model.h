@@ -109,7 +109,9 @@ bool IsHotFunction(const std::string& name);
 
 // Tight concurrent-grid-body predicate used by the contract and rng-stream
 // passes: only bodies that run on worker threads *between* stage barriers,
-// where writes to shared state are races by construction. Deliberately
+// where writes to shared state are races by construction, plus the
+// barrier tasks (*ItemRange) that split span-barrier builds into item
+// ranges run concurrently on the executor pool. Deliberately
 // excludes WordPhase/DocPhase/Iterate (serial fused path, direct count
 // updates are legal there) and barrier-side helpers like ApplyStagedMoves /
 // ApplyBlockDelta, and is substring-safe (PartitionStatic is not "hot").

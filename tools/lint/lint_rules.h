@@ -49,7 +49,8 @@ struct ContractModel {
 ContractModel BuildContractModel(const std::vector<SourceFile>& files);
 
 // Flags (a) writes to WARP_BARRIER_ONLY members from concurrent grid bodies
-// (RunBlock / Run*Part / Accept* / Draw* / RunTasks), (b) accesses to
+// (RunBlock / Run*Part / Accept* / Draw* / RunTasks / *ItemRange barrier
+// tasks), (b) accesses to
 // WARP_WORKER_LOCAL members in those bodies not indexed by the worker
 // argument, (c) mutations of WARP_IMMUTABLE_AFTER members outside their
 // declared writer set (constructors always allowed), and (d) members that
