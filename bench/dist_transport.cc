@@ -70,6 +70,7 @@ int main(int argc, char** argv) {
               "measured_x", "predicted_x", "retrans", "ident");
   double base_seconds = 0.0;
   bool all_identical = true;
+  std::vector<std::string> breakdown;
   for (int64_t w = 1; w <= max_workers; w *= 2) {
     warplda::WarpLdaSampler sampler;
     sampler.Init(corpus, config);
@@ -104,6 +105,32 @@ int main(int argc, char** argv) {
                 static_cast<long long>(w), per_sweep, measured, predicted,
                 static_cast<unsigned long long>(retransmits),
                 identical ? "yes" : "NO");
+
+    // Per-process breakdown, seconds per sweep: the coordinator's phases
+    // and the mean over workers of theirs.
+    const double n = static_cast<double>(iterations);
+    const warplda::DistResult::CoordinatorPhases& cp =
+        result.coordinator_phases;
+    warplda::DistResult::WorkerPhases wp;
+    for (const warplda::DistResult::WorkerPhases& p : result.worker_phases) {
+      const double share = 1.0 / static_cast<double>(w);
+      wp.compute_s += p.compute_s * share;
+      wp.send_s += p.send_s * share;
+      wp.apply_s += p.apply_s * share;
+      wp.wait_s += p.wait_s * share;
+      wp.barrier_s += p.barrier_s * share;
+      wp.loop_s += p.loop_s * share;
+    }
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "%8lld %8.4f %8.4f %8.4f %8.4f %8.4f | %8.4f %8.4f %8.4f "
+                  "%8.4f %8.4f",
+                  static_cast<long long>(w), cp.pump_s / n, cp.relay_s / n,
+                  cp.wait_s / n, cp.barrier_s / n, cp.capture_s / n,
+                  wp.compute_s / n, wp.send_s / n, wp.apply_s / n,
+                  wp.wait_s / n, wp.barrier_s / n);
+    breakdown.push_back(line);
+
     json.AddRow()
         .Int("workers", w)
         .Num("seconds_per_sweep", per_sweep)
@@ -113,9 +140,26 @@ int main(int argc, char** argv) {
         .Int("frames_sent",
              static_cast<int64_t>(result.coordinator_stats.frames_sent +
                                   result.worker_stats.frames_sent))
-        .Str("bit_identical", identical ? "yes" : "no");
+        .Str("bit_identical", identical ? "yes" : "no")
+        .Num("coord_pump_s_per_sweep", cp.pump_s / n)
+        .Num("coord_relay_s_per_sweep", cp.relay_s / n)
+        .Num("coord_wait_s_per_sweep", cp.wait_s / n)
+        .Num("coord_barrier_s_per_sweep", cp.barrier_s / n)
+        .Num("coord_capture_s_per_sweep", cp.capture_s / n)
+        .Num("worker_compute_s_per_sweep", wp.compute_s / n)
+        .Num("worker_send_s_per_sweep", wp.send_s / n)
+        .Num("worker_apply_s_per_sweep", wp.apply_s / n)
+        .Num("worker_wait_s_per_sweep", wp.wait_s / n)
+        .Num("worker_barrier_s_per_sweep", wp.barrier_s / n);
   }
   json.Write("BENCH_dist_transport.json");
+
+  std::printf("\nper-process breakdown, seconds per sweep "
+              "(worker columns: mean over workers)\n");
+  std::printf("%8s %8s %8s %8s %8s %8s | %8s %8s %8s %8s %8s\n", "workers",
+              "c.pump", "c.relay", "c.wait", "c.barr", "c.capt", "w.comp",
+              "w.send", "w.apply", "w.wait", "w.barr");
+  for (const std::string& line : breakdown) std::printf("%s\n", line.c_str());
 
   if (!all_identical) {
     std::fprintf(stderr,

@@ -15,6 +15,7 @@
 #include "dist/partitioner.h"
 #include "util/checkpoint_io.h"
 #include "util/rng.h"
+#include "util/stopwatch.h"
 
 namespace warplda {
 namespace {
@@ -28,11 +29,25 @@ constexpr uint32_t kMsgRecover = 5;    ///< coord -> worker: abort, epoch bump
 constexpr uint32_t kMsgShutdown = 6;   ///< coord -> worker: run complete
 constexpr uint32_t kMsgStats = 7;      ///< worker -> coord: channel stats
 
+/// Deadlines and timeouts only; sweeps and phases are timed by Stopwatch.
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+/// Adds the wall time of its scope to one phase counter.
+class PhaseTimer {
+ public:
+  explicit PhaseTimer(double* phase) : phase_(phase) {}
+  ~PhaseTimer() { *phase_ += watch_.Seconds(); }
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
+
+ private:
+  double* phase_;
+  Stopwatch watch_;
+};
 
 uint32_t BlockOf(const SweepPlan& plan, uint32_t doc_block,
                  uint32_t word_block) {
@@ -77,7 +92,9 @@ void AccumulateStats(FrameChannel::Stats* into,
   into->faults_injected += from.faults_injected;
 }
 
-std::vector<uint8_t> EncodeStats(const FrameChannel::Stats& s) {
+/// kMsgStats: a worker's channel stats, then its loop phases.
+std::vector<uint8_t> EncodeWorkerReport(const FrameChannel::Stats& s,
+                                        const DistResult::WorkerPhases& p) {
   PayloadWriter out;
   out.Put(s.frames_sent);
   out.Put(s.frames_received);
@@ -89,16 +106,27 @@ std::vector<uint8_t> EncodeStats(const FrameChannel::Stats& s) {
   out.Put(s.naks_sent);
   out.Put(s.naks_received);
   out.Put(s.faults_injected);
+  out.Put(p.compute_s);
+  out.Put(p.send_s);
+  out.Put(p.apply_s);
+  out.Put(p.wait_s);
+  out.Put(p.barrier_s);
+  out.Put(p.loop_s);
   return out.bytes();
 }
 
-bool DecodeStats(const std::vector<uint8_t>& body, FrameChannel::Stats* s) {
+bool DecodeWorkerReport(const std::vector<uint8_t>& body,
+                        FrameChannel::Stats* s,
+                        DistResult::WorkerPhases* p) {
   PayloadReader in(body);
   return in.Get(&s->frames_sent) && in.Get(&s->frames_received) &&
          in.Get(&s->bytes_sent) && in.Get(&s->bytes_received) &&
          in.Get(&s->retransmits) && in.Get(&s->crc_rejects) &&
          in.Get(&s->dup_suppressed) && in.Get(&s->naks_sent) &&
-         in.Get(&s->naks_received) && in.Get(&s->faults_injected);
+         in.Get(&s->naks_received) && in.Get(&s->faults_injected) &&
+         in.Get(&p->compute_s) && in.Get(&p->send_s) &&
+         in.Get(&p->apply_s) && in.Get(&p->wait_s) &&
+         in.Get(&p->barrier_s) && in.Get(&p->loop_s);
 }
 
 std::vector<uint8_t> EncodeDelta(uint64_t epoch, const GridBlockDelta& d) {
@@ -186,6 +214,9 @@ struct WorkerState {
   bool shutdown = false;
   bool failed = false;
   uint32_t barriers_done = 0;  ///< spans completed since process start
+
+  DistResult::WorkerPhases phases;
+  Stopwatch loop;  ///< restarted when the first assignment lands
 };
 
 void ResetSpan(WorkerState& ws) {
@@ -288,7 +319,9 @@ bool WorkerHandle(WorkerState& ws, const FrameChannel::Message& msg) {
       return ws.ran_count < ws.num_blocks;
     }
     case kMsgShutdown: {
-      ws.channel->Send(kMsgStats, EncodeStats(ws.channel->stats()));
+      ws.phases.loop_s = ws.loop.Seconds();
+      ws.channel->Send(kMsgStats,
+                       EncodeWorkerReport(ws.channel->stats(), ws.phases));
       ws.shutdown = true;
       return false;
     }
@@ -303,11 +336,17 @@ bool WorkerPump(WorkerState& ws, uint32_t timeout_ms) {
   FrameChannel::Message msg;
   bool keep_going = true;
   if (timeout_ms > 0) {
-    const FrameChannel::RecvStatus st = ws.channel->Receive(&msg, timeout_ms);
+    FrameChannel::RecvStatus st;
+    {
+      PhaseTimer wait(&ws.phases.wait_s);
+      st = ws.channel->Receive(&msg, timeout_ms);
+    }
     if (st == FrameChannel::RecvStatus::kClosed) return false;
     if (st == FrameChannel::RecvStatus::kTimeout) return true;
+    PhaseTimer apply(&ws.phases.apply_s);
     keep_going = WorkerHandle(ws, msg);
   }
+  PhaseTimer apply(&ws.phases.apply_s);
   while (keep_going && !ws.failed && ws.channel->TryReceive(&msg)) {
     keep_going = WorkerHandle(ws, msg);
   }
@@ -334,6 +373,8 @@ void WorkerMain(WorkerState& ws) {
   while (!ws.have_assignment && !ws.shutdown && !ws.failed) {
     if (!WorkerPump(ws, 100)) return;
   }
+  ws.phases = {};
+  ws.loop.Reset();
 
   while (!ws.shutdown && !ws.failed) {
     if (ws.recovering) {
@@ -349,6 +390,7 @@ void WorkerMain(WorkerState& ws) {
       continue;
     }
     if (!ws.sweep_open) {
+      PhaseTimer barrier(&ws.phases.barrier_s);
       ws.sampler->BeginSweep(*ws.plan);
       ws.sweep_open = true;
     }
@@ -362,14 +404,22 @@ void WorkerMain(WorkerState& ws) {
            ++b) {
         if (ws.owner[b] != ws.worker_id) continue;
         GridBlockDelta delta;
-        if (!ws.sampler->RunBlockCaptured(b / ws.plan->num_word_blocks,
-                                          b % ws.plan->num_word_blocks,
-                                          /*worker=*/0, &delta)) {
+        bool ran_ok;
+        {
+          PhaseTimer compute(&ws.phases.compute_s);
+          ran_ok = ws.sampler->RunBlockCaptured(b / ws.plan->num_word_blocks,
+                                                b % ws.plan->num_word_blocks,
+                                                /*worker=*/0, &delta);
+        }
+        if (!ran_ok) {
           ws.failed = true;
           break;
         }
         MarkRan(ws, b);
-        ws.channel->Send(kMsgBlockDelta, EncodeDelta(ws.epoch, delta));
+        {
+          PhaseTimer send(&ws.phases.send_s);
+          ws.channel->Send(kMsgBlockDelta, EncodeDelta(ws.epoch, delta));
+        }
         if (!first_delta_sent) {
           first_delta_sent = true;
           MaybeSelfKill(ws, /*mid_stage=*/true);
@@ -386,11 +436,15 @@ void WorkerMain(WorkerState& ws) {
       }
       if (ws.restored || ws.recovering || ws.shutdown || ws.failed) break;
       MaybeSelfKill(ws, /*mid_stage=*/false);
-      ws.sampler->EndStage();
+      {
+        PhaseTimer barrier(&ws.phases.barrier_s);
+        ws.sampler->EndStage();
+      }
       ++ws.barriers_done;
     }
     if (ws.restored || ws.recovering || ws.shutdown || ws.failed) continue;
     if (ws.sweep_open && ws.sampler->sweep_stage() == SweepStage::kDone) {
+      PhaseTimer barrier(&ws.phases.barrier_s);
       ws.sampler->EndSweep();
       ws.sweep_open = false;
       ++ws.iteration;
@@ -453,6 +507,7 @@ struct Coordinator {
 
   /// Captures the current barrier state; every recovery restores to it.
   bool CaptureBarrier() {
+    PhaseTimer capture(&result.coordinator_phases.capture_s);
     if (!sampler->CaptureSweepState(&barrier_ckpt)) {
       return Fail("sampler refused a barrier checkpoint (mid-stage state?)");
     }
@@ -506,6 +561,16 @@ struct Coordinator {
   /// One pass over live channels: applies + relays any received deltas,
   /// returns true if anything arrived. Death is detected by the caller.
   bool PumpDeltas() {
+    // Relay sends are timed on their own; pump_s keeps the rest.
+    const Stopwatch watch;
+    const double relay_before = result.coordinator_phases.relay_s;
+    const bool any = PumpDeltasUntimed();
+    result.coordinator_phases.pump_s +=
+        watch.Seconds() - (result.coordinator_phases.relay_s - relay_before);
+    return any;
+  }
+
+  bool PumpDeltasUntimed() {
     bool any = false;
     FrameChannel::Message msg;
     for (uint32_t w = 0; w < workers.size(); ++w) {
@@ -532,6 +597,7 @@ struct Coordinator {
         ++ran_count;
         // Relay to every other live worker; FIFO guarantees each worker
         // holds all of a span's deltas before any next-span frame.
+        PhaseTimer relay(&result.coordinator_phases.relay_s);
         for (uint32_t o = 0; o < workers.size(); ++o) {
           if (o != w && workers[o].live) {
             workers[o].channel->Send(kMsgBlockDelta, msg.body);
@@ -563,6 +629,7 @@ struct Coordinator {
       if (!result.error.empty()) return false;
       const bool any = PumpDeltas();
       if (!result.error.empty()) return false;
+      PhaseTimer wait(&result.coordinator_phases.wait_s);
       const uint32_t dead = DetectDeath();
       if (dead != DistConfig::kNoWorker) {
         if (!Recover(dead)) return false;
@@ -800,10 +867,13 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
     sampler.SetLocalBlocks(std::vector<char>(coord.num_blocks, 0));
 
     // ---- main loop: sweeps -> spans -> delta exchange.
+    DistResult::CoordinatorPhases& phases = coord.result.coordinator_phases;
+    const Stopwatch loop;
     while (coord.iteration < config.iterations &&
            coord.result.error.empty()) {
-      const int64_t sweep_start = NowMs();
+      const Stopwatch sweep;
       if (!coord.sweep_open) {
+        PhaseTimer barrier(&phases.barrier_s);
         sampler.BeginSweep(plan);
         coord.sweep_open = true;
       }
@@ -817,24 +887,31 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
           rewound = true;
           break;
         }
-        sampler.EndStage();
+        {
+          PhaseTimer barrier(&phases.barrier_s);
+          sampler.EndStage();
+        }
         if (!coord.CaptureBarrier()) break;
       }
       if (!coord.result.error.empty()) break;
       if (rewound || !coord.sweep_open) continue;
       if (sampler.sweep_stage() == SweepStage::kDone) {
-        sampler.EndSweep();
+        {
+          PhaseTimer barrier(&phases.barrier_s);
+          sampler.EndSweep();
+        }
         coord.sweep_open = false;
         ++coord.iteration;
         ++coord.result.iterations_completed;
-        coord.result.sweep_seconds.push_back(
-            static_cast<double>(NowMs() - sweep_start) / 1000.0);
+        coord.result.sweep_seconds.push_back(sweep.Seconds());
         if (!coord.CaptureBarrier()) break;
       }
     }
+    phases.loop_s = loop.Seconds();
   }
 
   // ---- shutdown: handshake stats out of live workers, then reap everyone.
+  coord.result.worker_phases.resize(coord.workers.size());
   for (uint32_t w = 0; w < coord.workers.size(); ++w) {
     WorkerSlot& slot = coord.workers[w];
     if (!slot.live) continue;
@@ -851,8 +928,10 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
       if (st != FrameChannel::RecvStatus::kOk) break;
       if (msg.type == kMsgStats) {
         FrameChannel::Stats stats;
-        if (DecodeStats(msg.body, &stats)) {
+        DistResult::WorkerPhases worker_phases;
+        if (DecodeWorkerReport(msg.body, &stats, &worker_phases)) {
           AccumulateStats(&coord.result.worker_stats, stats);
+          coord.result.worker_phases[w] = worker_phases;
         }
         break;
       }

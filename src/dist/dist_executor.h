@@ -118,7 +118,35 @@ struct DistResult {
   FrameChannel::Stats coordinator_stats;
   FrameChannel::Stats worker_stats;
 
-  std::vector<double> sweep_seconds;  ///< wall time per completed sweep
+  /// Wall time per completed sweep (steady clock, ns resolution).
+  std::vector<double> sweep_seconds;
+
+  /// Where the coordinator's sweep loop spent its time, in seconds. The
+  /// phases partition `loop_s` up to loop bookkeeping.
+  struct CoordinatorPhases {
+    double pump_s = 0.0;     ///< receiving, decoding and applying deltas
+    double relay_s = 0.0;    ///< Send of each delta to the other workers
+    double wait_s = 0.0;     ///< sleeping between empty polls, death checks
+    double barrier_s = 0.0;  ///< BeginSweep, EndStage, EndSweep
+    double capture_s = 0.0;  ///< CaptureBarrier (the recovery checkpoint)
+    double loop_s = 0.0;     ///< wall time of the whole sweep loop
+  };
+  CoordinatorPhases coordinator_phases;
+
+  /// Where one worker's loop spent its time, in seconds, from its first
+  /// assignment to the shutdown handshake that ships these numbers. The
+  /// phases partition `loop_s` up to loop bookkeeping.
+  struct WorkerPhases {
+    double compute_s = 0.0;  ///< RunBlockCaptured on owned blocks
+    double send_s = 0.0;     ///< encoding and Send of own block deltas
+    double apply_s = 0.0;    ///< decoding and applying received messages
+    double wait_s = 0.0;     ///< blocked in Receive with nothing queued
+    double barrier_s = 0.0;  ///< BeginSweep, EndStage, EndSweep
+    double loop_s = 0.0;     ///< wall time of the loop; 0 = never reported
+  };
+  /// Indexed by worker id. A worker that died before the shutdown
+  /// handshake reports nothing (all zeros).
+  std::vector<WorkerPhases> worker_phases;
 };
 
 /// Runs `config.iterations` full grid sweeps of `plan` on `sampler`

@@ -513,6 +513,41 @@ TEST(DistExecutorTest, LoopbackTcpTransportMatchesIterate) {
   EXPECT_EQ(run.assignments, ReferenceAssignments(corpus, iterations));
 }
 
+// The per-process breakdown must account for the time it claims to split:
+// a worker's phases, shipped in its shutdown handshake, sum to its loop
+// wall time, and the coordinator's to its own.
+TEST(DistExecutorTest, PhaseBreakdownAccountsForLoopWallTime) {
+  const uint32_t iterations = 3;
+  Corpus corpus = DistTestCorpus();
+  DistConfig config;
+  config.num_workers = 2;
+  config.iterations = iterations;
+  DistRun run = RunDist(corpus, config);
+  ASSERT_TRUE(run.result.ok) << run.result.error;
+  ASSERT_EQ(run.result.sweep_seconds.size(), iterations);
+
+  ASSERT_EQ(run.result.worker_phases.size(), 2u);
+  for (size_t w = 0; w < run.result.worker_phases.size(); ++w) {
+    const DistResult::WorkerPhases& p = run.result.worker_phases[w];
+    ASSERT_GT(p.loop_s, 0.0) << "worker " << w << " reported no phases";
+    EXPECT_GT(p.compute_s, 0.0) << "worker " << w;
+    EXPECT_GT(p.send_s, 0.0) << "worker " << w;
+    const double sum =
+        p.compute_s + p.send_s + p.apply_s + p.wait_s + p.barrier_s;
+    EXPECT_NEAR(sum, p.loop_s, 0.1 * p.loop_s) << "worker " << w;
+  }
+
+  const DistResult::CoordinatorPhases& c = run.result.coordinator_phases;
+  ASSERT_GT(c.loop_s, 0.0);
+  EXPECT_GT(c.barrier_s, 0.0);
+  const double sum = c.pump_s + c.relay_s + c.wait_s + c.barrier_s +
+                     c.capture_s;
+  EXPECT_NEAR(sum, c.loop_s, 0.1 * c.loop_s);
+  double sweeps = 0.0;
+  for (double s : run.result.sweep_seconds) sweeps += s;
+  EXPECT_LE(sweeps, c.loop_s);
+}
+
 TEST(DistExecutorTest, BlockWeightsCoverEveryToken) {
   Corpus corpus = DistTestCorpus();
   SweepPlan plan = MakeSweepPlan(corpus, 3, 2, PartitionStrategy::kGreedy);
