@@ -129,21 +129,45 @@ bool DecodeWorkerReport(const std::vector<uint8_t>& body,
          in.Get(&p->barrier_s) && in.Get(&p->loop_s);
 }
 
+/// A GridBlockDelta::Move on the wire: u64 pos, u32 item, u32 from, u32 to,
+/// packed (the in-memory struct pads to 24 bytes).
+constexpr size_t kMoveWireBytes = 20;
+
+/// kMsgBlockDelta header: epoch, stage, doc block, word block, move count.
+constexpr size_t kDeltaHeaderBytes = 8 + 4 + 4 + 4 + 8;
+
+/// Native-order store / load of one field at a raw cursor, returning the
+/// advanced cursor: the per-move packing loops compile to plain moves.
+template <typename T>
+uint8_t* PutPacked(uint8_t* p, const T& v) {
+  std::memcpy(p, &v, sizeof(T));
+  return p + sizeof(T);
+}
+
+template <typename T>
+const uint8_t* GetPacked(const uint8_t* p, T* v) {
+  std::memcpy(v, p, sizeof(T));
+  return p + sizeof(T);
+}
+
 std::vector<uint8_t> EncodeDelta(uint64_t epoch, const GridBlockDelta& d) {
   PayloadWriter out;
+  out.Reserve(kDeltaHeaderBytes + d.moves.size() * kMoveWireBytes +
+              sizeof(uint64_t) + d.proposals.size() * sizeof(uint32_t));
   out.Put(epoch);
   out.Put(static_cast<uint32_t>(d.stage));
   out.Put(d.doc_block);
   out.Put(d.word_block);
   out.Put(static_cast<uint64_t>(d.moves.size()));
+  uint8_t* p = out.Extend(d.moves.size() * kMoveWireBytes);
   for (const GridBlockDelta::Move& mv : d.moves) {
-    out.Put(mv.pos);
-    out.Put(mv.item);
-    out.Put(mv.from);
-    out.Put(mv.to);
+    p = PutPacked(p, mv.pos);
+    p = PutPacked(p, mv.item);
+    p = PutPacked(p, mv.from);
+    p = PutPacked(p, mv.to);
   }
   out.PutVec(d.proposals);
-  return out.bytes();
+  return out.Take();
 }
 
 bool DecodeDelta(const std::vector<uint8_t>& body, uint64_t* epoch,
@@ -157,14 +181,16 @@ bool DecodeDelta(const std::vector<uint8_t>& body, uint64_t* epoch,
   }
   if (stage > static_cast<uint32_t>(SweepStage::kDone)) return false;
   d->stage = static_cast<SweepStage>(stage);
-  // 20 bytes per move on the wire; bound before resizing.
-  if (num_moves > in.remaining() / 20) return false;
+  // Bound the count by the bytes actually present before resizing.
+  if (num_moves > in.remaining() / kMoveWireBytes) return false;
+  const uint8_t* p =
+      in.Consume(static_cast<size_t>(num_moves) * kMoveWireBytes);
   d->moves.resize(static_cast<size_t>(num_moves));
   for (GridBlockDelta::Move& mv : d->moves) {
-    if (!in.Get(&mv.pos) || !in.Get(&mv.item) || !in.Get(&mv.from) ||
-        !in.Get(&mv.to)) {
-      return false;
-    }
+    p = GetPacked(p, &mv.pos);
+    p = GetPacked(p, &mv.item);
+    p = GetPacked(p, &mv.from);
+    p = GetPacked(p, &mv.to);
   }
   return in.GetVec(&d->proposals);
 }

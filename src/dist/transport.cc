@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -40,6 +41,40 @@ constexpr uint32_t kCtlPing = 4;
 
 /// u32 ctl + u64 seq (+ u32 app type for data frames).
 constexpr size_t kChannelHeaderBytes = sizeof(uint32_t) + sizeof(uint64_t);
+constexpr size_t kDataHeaderBytes = kChannelHeaderBytes + sizeof(uint32_t);
+
+/// Frames gathered into one sendmsg() call.
+constexpr size_t kMaxWriteSegments = 64;
+/// Free stream-buffer space guaranteed before each read().
+constexpr size_t kReadChunkBytes = 64 * 1024;
+/// Bytes read per io-loop pass before parsing, so acks and retransmits
+/// never wait behind an unbounded read burst.
+constexpr size_t kMaxReadBatchBytes = 4 << 20;
+
+/// One complete kDistMessage frame — frame header, channel header (the app
+/// type on data frames only), then `body` — built in one buffer: the body
+/// is copied once and checksummed once.
+std::vector<uint8_t> EncodeChannelFrame(uint32_t ctl, uint64_t seq,
+                                        uint32_t app_type,
+                                        const uint8_t* body,
+                                        size_t body_size) {
+  const size_t prefix =
+      ctl == kCtlData ? kDataHeaderBytes : kChannelHeaderBytes;
+  std::vector<uint8_t> wire;
+  wire.reserve(kFrameHeaderBytes + prefix + body_size);
+  wire.resize(kFrameHeaderBytes + prefix);
+  uint8_t* channel_header = wire.data() + kFrameHeaderBytes;
+  std::memcpy(channel_header, &ctl, sizeof(ctl));
+  std::memcpy(channel_header + sizeof(ctl), &seq, sizeof(seq));
+  if (ctl == kCtlData) {
+    std::memcpy(channel_header + kChannelHeaderBytes, &app_type,
+                sizeof(app_type));
+  }
+  if (body_size > 0) wire.insert(wire.end(), body, body + body_size);
+  EncodeFrameHeader(FrameKind::kDistMessage, wire.data() + kFrameHeaderBytes,
+                    wire.size() - kFrameHeaderBytes, wire.data());
+  return wire;
+}
 
 /// Transport counters in the global registry, mirroring FrameChannel::Stats
 /// so the fault-matrix tests can assert the envelope (bounded retransmits,
@@ -121,21 +156,25 @@ void FrameChannel::Close() {
   }
 }
 
-bool FrameChannel::Send(uint32_t type, std::vector<uint8_t> body) {
+bool FrameChannel::Send(uint32_t type, const std::vector<uint8_t>& body) {
+  std::unique_lock<std::mutex> builder(send_mutex_);
   {
     std::unique_lock<std::mutex> lock(mutex_);
     if (dead_ || closing_) return false;
-    PayloadWriter payload;
-    payload.Put(kCtlData);
-    payload.Put(next_seq_);
-    payload.Put(type);
-    std::vector<uint8_t> bytes = payload.bytes();
-    bytes.insert(bytes.end(), body.begin(), body.end());
+  }
+  // Build and checksum the frame with mutex_ free: the io thread keeps
+  // reading, acking and writing meanwhile.
+  Wire wire = std::make_shared<const std::vector<uint8_t>>(
+      EncodeChannelFrame(kCtlData, next_seq_, type, body.data(), body.size()));
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (dead_ || closing_) return false;
     Inflight frame;
-    frame.seq = next_seq_++;
-    frame.wire = EncodeFrame(FrameKind::kDistMessage, bytes);
+    frame.seq = next_seq_;
+    frame.wire = std::move(wire);
     inflight_.push_back(std::move(frame));
   }
+  ++next_seq_;
   if (wake_pipe_[1] >= 0) {
     const uint8_t b = 1;
     [[maybe_unused]] ssize_t n = ::write(wake_pipe_[1], &b, 1);
@@ -183,7 +222,7 @@ bool FrameChannel::DrainSends(uint32_t timeout_ms) {
   std::unique_lock<std::mutex> lock(mutex_);
   return drain_cv_.wait_for(
       lock, std::chrono::milliseconds(timeout_ms),
-      [&] { return dead_ || (inflight_.empty() && out_buffer_.empty()); });
+      [&] { return dead_ || (inflight_.empty() && tx_queue_.empty()); });
 }
 
 FrameChannel::Stats FrameChannel::stats() const {
@@ -199,215 +238,333 @@ void FrameChannel::MarkDeadLocked(const std::string& reason) {
   drain_cv_.notify_all();
 }
 
-void FrameChannel::SendControlLocked(uint32_t ctl, uint64_t seq) {
-  PayloadWriter payload;
-  payload.Put(ctl);
-  payload.Put(seq);
-  const std::vector<uint8_t> wire =
-      EncodeFrame(FrameKind::kDistMessage, payload.bytes());
-  out_buffer_.insert(out_buffer_.end(), wire.begin(), wire.end());
-}
-
-bool FrameChannel::WriteWireLocked(const std::vector<uint8_t>& wire) {
-  out_buffer_.insert(out_buffer_.end(), wire.begin(), wire.end());
-  return true;
+void FrameChannel::QueueControlLocked(uint32_t ctl, uint64_t seq) {
+  tx_queue_.push_back(
+      {std::make_shared<const std::vector<uint8_t>>(
+           EncodeChannelFrame(ctl, seq, 0, nullptr, 0)),
+       0});
 }
 
 void FrameChannel::FlushWritesLocked() {
-  size_t done = 0;
-  while (done < out_buffer_.size()) {
+  bool wrote = false;
+  while (!tx_queue_.empty()) {
+    struct iovec iov[kMaxWriteSegments];
+    size_t count = 0;
+    for (auto it = tx_queue_.begin();
+         it != tx_queue_.end() && count < kMaxWriteSegments; ++it, ++count) {
+      iov[count].iov_base = const_cast<uint8_t*>(it->wire->data()) + it->written;
+      iov[count].iov_len = it->wire->size() - it->written;
+    }
+    struct msghdr msg;
+    std::memset(&msg, 0, sizeof(msg));
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
     // MSG_NOSIGNAL: writing to a socket whose peer was SIGKILL'd must
     // surface as EPIPE (→ channel death), not take the process down.
-    const ssize_t n = ::send(fd_, out_buffer_.data() + done,
-                             out_buffer_.size() - done, MSG_NOSIGNAL);
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       MarkDeadLocked(Errno("write failed"));
-      out_buffer_.clear();
+      tx_queue_.clear();
       return;
     }
-    done += static_cast<size_t>(n);
+    if (n == 0) break;
+    wrote = true;
     stats_.bytes_sent += static_cast<uint64_t>(n);
+    // Retire fully written frames; the cursor keeps a partial one.
+    size_t left = static_cast<size_t>(n);
+    while (left > 0) {
+      TxSegment& front = tx_queue_.front();
+      const size_t rest = front.wire->size() - front.written;
+      if (left < rest) {
+        front.written += left;
+        break;
+      }
+      left -= rest;
+      tx_queue_.pop_front();
+    }
   }
-  if (done > 0) {
-    out_buffer_.erase(out_buffer_.begin(),
-                      out_buffer_.begin() + static_cast<ptrdiff_t>(done));
+  if (wrote) {
     last_tx_ms_ = NowMs();
-    if (out_buffer_.empty() && inflight_.empty()) drain_cv_.notify_all();
+    if (tx_queue_.empty() && inflight_.empty()) drain_cv_.notify_all();
   }
 }
 
-void FrameChannel::HandleFrame(const std::vector<uint8_t>& payload) {
-  // Caller (IoLoop) holds mutex_ and has already validated the CRC.
-  PayloadReader in(payload);
+void FrameChannel::TransmitDueLocked(int64_t now) {
+  // Transmit pass over the inflight window, in sequence order.
+  for (Inflight& f : inflight_) {
+    if (!f.sent_once) {
+      if (f.attempts == 0 && f.hold_until_ms == 0) {
+        // First consideration: decide this frame's fault, once.
+        const FaultAction action = fault_.Decide(f.seq);
+        if (action != FaultAction::kNone) {
+          ++stats_.faults_injected;
+          if (obs::MetricsEnabled()) {
+            TransportMetrics::Get().faults_injected->Inc();
+          }
+        }
+        switch (action) {
+          case FaultAction::kDrop:
+            // Silently not sent; the retransmit timer recovers it.
+            f.sent_once = true;
+            f.attempts = 1;
+            f.backoff_ms = options_.rto_initial_ms;
+            f.next_deadline_ms = now + f.backoff_ms;
+            continue;
+          case FaultAction::kCorrupt: {
+            // Flip payload bytes (past the frame header) in a sent copy;
+            // the original stays intact for the retransmit the receiver's
+            // NAK will trigger.
+            auto mutated = std::make_shared<std::vector<uint8_t>>(*f.wire);
+            fault_.CorruptPayload(f.seq, mutated->data() + kFrameHeaderBytes,
+                                  mutated->size() - kFrameHeaderBytes);
+            tx_queue_.push_back({std::move(mutated), 0});
+            break;
+          }
+          case FaultAction::kDuplicate:
+            tx_queue_.push_back({f.wire, 0});
+            tx_queue_.push_back({f.wire, 0});
+            break;
+          case FaultAction::kDelay:
+            f.hold_until_ms = now + options_.fault.delay_ms;
+            continue;  // sent when the hold expires
+          case FaultAction::kNone:
+            tx_queue_.push_back({f.wire, 0});
+            break;
+        }
+        f.sent_once = true;
+        f.attempts = 1;
+        f.backoff_ms = options_.rto_initial_ms;
+        f.next_deadline_ms = now + f.backoff_ms;
+        ++stats_.frames_sent;
+        if (obs::MetricsEnabled()) TransportMetrics::Get().frames_sent->Inc();
+      } else if (f.hold_until_ms != 0 && now >= f.hold_until_ms) {
+        // Delayed frame: send clean now.
+        tx_queue_.push_back({f.wire, 0});
+        f.sent_once = true;
+        f.attempts = 1;
+        f.backoff_ms = options_.rto_initial_ms;
+        f.next_deadline_ms = now + f.backoff_ms;
+        ++stats_.frames_sent;
+        if (obs::MetricsEnabled()) TransportMetrics::Get().frames_sent->Inc();
+      }
+    } else if (now >= f.next_deadline_ms) {
+      // Bounded exponential backoff; exhaustion declares the peer dead (the
+      // executor's recovery path takes over from there).
+      if (f.attempts > options_.max_retransmits) {
+        MarkDeadLocked("retransmit limit (" +
+                       std::to_string(options_.max_retransmits) +
+                       ") exhausted for frame " + std::to_string(f.seq));
+        return;
+      }
+      tx_queue_.push_back({f.wire, 0});
+      ++f.attempts;
+      ++stats_.retransmits;
+      if (obs::MetricsEnabled()) TransportMetrics::Get().retransmits->Inc();
+      f.backoff_ms = std::min(f.backoff_ms * 2, options_.rto_max_ms);
+      f.next_deadline_ms = now + f.backoff_ms;
+    }
+  }
+}
+
+size_t FrameChannel::ReadAvailable(std::string* error) {
+  // Read straight into the stream buffer until the socket runs dry (or one
+  // batch's worth arrived, so acks never wait behind an endless burst).
+  size_t batch = 0;
+  while (batch < kMaxReadBatchBytes) {
+    if (rx_buffer_.size() - rx_size_ < kReadChunkBytes) {
+      // Grow to the full capacity the vector already holds, so later
+      // reads reuse it without zero-filling anew.
+      rx_buffer_.resize(
+          std::max(rx_size_ + kReadChunkBytes, rx_buffer_.capacity()));
+    }
+    const ssize_t n = ::read(fd_, rx_buffer_.data() + rx_size_,
+                             rx_buffer_.size() - rx_size_);
+    if (n > 0) {
+      rx_size_ += static_cast<size_t>(n);
+      batch += static_cast<size_t>(n);
+      continue;
+    }
+    if (n == 0) {
+      *error = "EOF from peer";
+      break;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    *error = Errno("read failed");
+    break;
+  }
+  return batch;
+}
+
+void FrameChannel::ParseFrames(RxBatch* batch) {
+  // Complete frames out of the stream buffer, by cursor. A malformed header
+  // means framing is lost for good (only payload corruption is survivable
+  // — the CRC covers it); the channel is torn down.
+  size_t cursor = 0;
+  while (rx_size_ - cursor >= kFrameHeaderBytes && batch->fatal.empty()) {
+    ParsedFrameHeader header;
+    std::string header_error;
+    if (!ParseFrameHeader(rx_buffer_.data() + cursor, &header,
+                          &header_error)) {
+      batch->fatal = "lost framing: " + header_error;
+      break;
+    }
+    if (header.kind != FrameKind::kDistMessage ||
+        header.payload_size > options_.max_payload_bytes) {
+      batch->fatal = "lost framing: bad frame kind or oversized payload";
+      break;
+    }
+    const size_t payload_size = static_cast<size_t>(header.payload_size);
+    if (rx_size_ - cursor - kFrameHeaderBytes < payload_size) break;
+    const uint8_t* payload = rx_buffer_.data() + cursor + kFrameHeaderBytes;
+    if (Crc32(payload, payload_size) != header.payload_crc) {
+      // Reject-and-renegotiate: drop the frame, tell the peer where the
+      // in-order stream ends so it retransmits from there.
+      ++batch->crc_rejects;
+      if (last_nak_cum_ != delivered_seq_) {
+        last_nak_cum_ = delivered_seq_;
+        batch->naks_to_send.push_back(delivered_seq_);
+      }
+    } else {
+      ParsePayload(payload, payload_size, batch);
+    }
+    cursor += kFrameHeaderBytes + payload_size;
+  }
+  // Compact once per batch: only a partial frame's bytes move.
+  if (cursor > 0) {
+    std::memmove(rx_buffer_.data(), rx_buffer_.data() + cursor,
+                 rx_size_ - cursor);
+    rx_size_ -= cursor;
+  }
+}
+
+void FrameChannel::ParsePayload(const uint8_t* payload, size_t size,
+                                RxBatch* batch) {
+  // CRC already verified.
+  PayloadReader in(payload, size);
   uint32_t ctl = 0;
   uint64_t seq = 0;
   if (!in.Get(&ctl) || !in.Get(&seq)) {
-    MarkDeadLocked("malformed channel header (framing lost)");
+    batch->fatal = "malformed channel header (framing lost)";
     return;
   }
   switch (ctl) {
     case kCtlData: {
       uint32_t app_type = 0;
       if (!in.Get(&app_type)) {
-        MarkDeadLocked("malformed data frame (framing lost)");
+        batch->fatal = "malformed data frame (framing lost)";
         return;
       }
       if (seq == delivered_seq_ + 1) {
         Message msg;
         msg.type = app_type;
-        msg.body.assign(payload.begin() + (kChannelHeaderBytes + 4),
-                        payload.end());
-        rx_queue_.push_back(std::move(msg));
+        msg.body.assign(payload + kDataHeaderBytes, payload + size);
+        batch->delivered.push_back(std::move(msg));
         delivered_seq_ = seq;
         last_nak_cum_ = ~0ULL;  // progress: a new gap deserves a new NAK
-        ++stats_.frames_received;
-        rx_cv_.notify_all();
+        batch->ack = true;
       } else if (seq <= delivered_seq_) {
         // Duplicate: the peer retransmitted because our ack was lost (or a
         // kDuplicate fault fired). Re-ack, never redeliver.
-        ++stats_.dup_suppressed;
-        if (obs::MetricsEnabled()) TransportMetrics::Get().dup_suppressed->Inc();
-      } else {
+        ++batch->dup_suppressed;
+        batch->ack = true;
+      } else if (last_nak_cum_ != delivered_seq_) {
         // Gap: something before this frame was dropped or CRC-rejected.
         // Renegotiate from the last in-order point; the peer resends
         // everything after it (go-back-N). NAK once per gap — the window
         // of frames behind the gap all arrive out of order and must not
         // each trigger a full-window retransmit.
-        if (last_nak_cum_ != delivered_seq_) {
-          last_nak_cum_ = delivered_seq_;
-          ++stats_.naks_sent;
-          SendControlLocked(kCtlNak, delivered_seq_);
-        }
+        last_nak_cum_ = delivered_seq_;
+        batch->naks_to_send.push_back(delivered_seq_);
       }
       break;
     }
-    case kCtlAck: {
-      while (!inflight_.empty() && inflight_.front().seq <= seq) {
-        inflight_.pop_front();
-      }
-      if (inflight_.empty() && out_buffer_.empty()) drain_cv_.notify_all();
+    case kCtlAck:
+    case kCtlNak:
+      batch->peer_control.emplace_back(ctl, seq);
       break;
-    }
-    case kCtlNak: {
-      ++stats_.naks_received;
-      while (!inflight_.empty() && inflight_.front().seq <= seq) {
-        inflight_.pop_front();
-      }
-      // Everything after the peer's last in-order frame: resend now. The
-      // NAK itself proves the peer is alive, so the retransmit budget
-      // restarts — exhaustion must measure silence, not renegotiation.
-      const int64_t now = NowMs();
-      for (Inflight& f : inflight_) {
-        if (f.sent_once) {
-          f.next_deadline_ms = now;
-          f.attempts = 1;
-          f.backoff_ms = options_.rto_initial_ms;
-        }
-      }
-      break;
-    }
     case kCtlPing:
-      break;  // last_rx_ms_ already refreshed by the read path
+      break;  // last_rx_ms_ is refreshed for every read
     default:
-      MarkDeadLocked("unknown channel frame type " + std::to_string(ctl));
+      batch->fatal = "unknown channel frame type " + std::to_string(ctl);
       break;
   }
 }
 
+void FrameChannel::ApplyRxLocked(RxBatch& batch) {
+  if (batch.bytes_read > 0) {
+    stats_.bytes_received += batch.bytes_read;
+    last_rx_ms_ = NowMs();
+  }
+  if (dead_) return;  // nothing past a death is delivered or answered
+  if (!batch.delivered.empty()) {
+    stats_.frames_received += batch.delivered.size();
+    for (Message& msg : batch.delivered) rx_queue_.push_back(std::move(msg));
+    rx_cv_.notify_all();
+  }
+  stats_.crc_rejects += batch.crc_rejects;
+  stats_.dup_suppressed += batch.dup_suppressed;
+  if (obs::MetricsEnabled()) {
+    if (batch.crc_rejects > 0) {
+      TransportMetrics::Get().crc_rejects->Inc(batch.crc_rejects);
+    }
+    if (batch.dup_suppressed > 0) {
+      TransportMetrics::Get().dup_suppressed->Inc(batch.dup_suppressed);
+    }
+  }
+  for (const auto& [ctl, seq] : batch.peer_control) {
+    while (!inflight_.empty() && inflight_.front().seq <= seq) {
+      inflight_.pop_front();
+    }
+    if (ctl == kCtlAck) {
+      if (inflight_.empty() && tx_queue_.empty()) drain_cv_.notify_all();
+      continue;
+    }
+    // NAK: everything after the peer's last in-order frame goes out again
+    // now. The NAK itself proves the peer is alive, so the retransmit
+    // budget restarts — exhaustion must measure silence, not
+    // renegotiation.
+    ++stats_.naks_received;
+    const int64_t now = NowMs();
+    for (Inflight& f : inflight_) {
+      if (f.sent_once) {
+        f.next_deadline_ms = now;
+        f.attempts = 1;
+        f.backoff_ms = options_.rto_initial_ms;
+      }
+    }
+  }
+  for (uint64_t cum : batch.naks_to_send) {
+    ++stats_.naks_sent;
+    QueueControlLocked(kCtlNak, cum);
+  }
+  if (!batch.fatal.empty()) {
+    MarkDeadLocked(batch.fatal);
+  } else if (batch.ack) {
+    // One cumulative ack per parse batch (covers re-acking duplicates).
+    QueueControlLocked(kCtlAck, delivered_seq_);
+  }
+}
+
 void FrameChannel::IoLoop() {
-  std::vector<uint8_t> read_buf(64 * 1024);
   while (true) {
     int64_t poll_deadline;
+    short events = POLLIN;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       if (closing_ || dead_) break;
       const int64_t now = NowMs();
-
-      // Transmit pass over the inflight window, in sequence order.
-      for (Inflight& f : inflight_) {
-        if (!f.sent_once) {
-          if (f.attempts == 0 && f.hold_until_ms == 0) {
-            // First consideration: decide this frame's fault, once.
-            const FaultAction action = fault_.Decide(f.seq);
-            if (action != FaultAction::kNone) {
-              ++stats_.faults_injected;
-              if (obs::MetricsEnabled()) {
-                TransportMetrics::Get().faults_injected->Inc();
-              }
-            }
-            switch (action) {
-              case FaultAction::kDrop:
-                // Silently not sent; the retransmit timer recovers it.
-                f.sent_once = true;
-                f.attempts = 1;
-                f.backoff_ms = options_.rto_initial_ms;
-                f.next_deadline_ms = now + f.backoff_ms;
-                continue;
-              case FaultAction::kCorrupt: {
-                // Flip payload bytes (past the frame header) in a sent
-                // copy; the original stays intact for the retransmit the
-                // receiver's NAK will trigger.
-                std::vector<uint8_t> mutated = f.wire;
-                fault_.CorruptPayload(
-                    f.seq, mutated.data() + kFrameHeaderBytes,
-                    mutated.size() - kFrameHeaderBytes);
-                WriteWireLocked(mutated);
-                break;
-              }
-              case FaultAction::kDuplicate:
-                WriteWireLocked(f.wire);
-                WriteWireLocked(f.wire);
-                break;
-              case FaultAction::kDelay:
-                f.hold_until_ms = now + options_.fault.delay_ms;
-                continue;  // sent when the hold expires
-              case FaultAction::kNone:
-                WriteWireLocked(f.wire);
-                break;
-            }
-            f.sent_once = true;
-            f.attempts = 1;
-            f.backoff_ms = options_.rto_initial_ms;
-            f.next_deadline_ms = now + f.backoff_ms;
-            ++stats_.frames_sent;
-            if (obs::MetricsEnabled()) TransportMetrics::Get().frames_sent->Inc();
-          } else if (f.hold_until_ms != 0 && now >= f.hold_until_ms) {
-            // Delayed frame: send clean now.
-            WriteWireLocked(f.wire);
-            f.sent_once = true;
-            f.attempts = 1;
-            f.backoff_ms = options_.rto_initial_ms;
-            f.next_deadline_ms = now + f.backoff_ms;
-            ++stats_.frames_sent;
-            if (obs::MetricsEnabled()) TransportMetrics::Get().frames_sent->Inc();
-          }
-        } else if (now >= f.next_deadline_ms) {
-          // Bounded exponential backoff; exhaustion declares the peer dead
-          // (the executor's recovery path takes over from there).
-          if (f.attempts > options_.max_retransmits) {
-            MarkDeadLocked("retransmit limit (" +
-                           std::to_string(options_.max_retransmits) +
-                           ") exhausted for frame " + std::to_string(f.seq));
-            break;
-          }
-          WriteWireLocked(f.wire);
-          ++f.attempts;
-          ++stats_.retransmits;
-          if (obs::MetricsEnabled()) TransportMetrics::Get().retransmits->Inc();
-          f.backoff_ms = std::min(f.backoff_ms * 2, options_.rto_max_ms);
-          f.next_deadline_ms = now + f.backoff_ms;
-        }
-      }
+      TransmitDueLocked(now);
       if (dead_) break;
 
       // Idle keepalive so a busy-computing peer still proves liveness.
       if (options_.keepalive_ms > 0 &&
           now - last_tx_ms_ >=
               static_cast<int64_t>(options_.keepalive_ms) &&
-          out_buffer_.empty()) {
-        SendControlLocked(kCtlPing, 0);
+          tx_queue_.empty()) {
+        QueueControlLocked(kCtlPing, 0);
       }
 
       FlushWritesLocked();
@@ -429,15 +586,12 @@ void FrameChannel::IoLoop() {
             std::min(poll_deadline,
                      last_tx_ms_ + static_cast<int64_t>(options_.keepalive_ms));
       }
+      if (!tx_queue_.empty()) events |= POLLOUT;
     }
 
     struct pollfd fds[2];
     fds[0].fd = fd_;
-    fds[0].events = POLLIN;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (!out_buffer_.empty()) fds[0].events |= POLLOUT;
-    }
+    fds[0].events = events;
     fds[1].fd = wake_pipe_[0];
     fds[1].events = POLLIN;
     const int timeout =
@@ -454,96 +608,16 @@ void FrameChannel::IoLoop() {
       }
     }
 
-    // Read everything available, then parse complete frames.
-    bool peer_eof = false;
-    bool read_error = false;
-    std::string read_error_text;
-    std::vector<uint8_t> incoming;
-    while (true) {
-      const ssize_t n = ::read(fd_, read_buf.data(), read_buf.size());
-      if (n > 0) {
-        incoming.insert(incoming.end(), read_buf.begin(),
-                        read_buf.begin() + n);
-        continue;
-      }
-      if (n == 0) {
-        peer_eof = true;
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      read_error = true;
-      read_error_text = Errno("read failed");
-      break;
-    }
-
+    // Read, check and copy out without the lock; publish under it.
+    std::string read_error;
+    RxBatch batch;
+    batch.bytes_read = ReadAvailable(&read_error);
+    if (batch.bytes_read > 0) ParseFrames(&batch);
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      if (!incoming.empty()) {
-        stats_.bytes_received += incoming.size();
-        last_rx_ms_ = NowMs();
-        rx_buffer_.insert(rx_buffer_.end(), incoming.begin(), incoming.end());
-      }
-      // Parse complete frames out of the stream buffer. A malformed header
-      // means framing is lost for good (only payload corruption is
-      // survivable — the CRC covers it); tear the channel down.
-      size_t cursor = 0;
-      bool delivered_or_dup = false;
-      const uint64_t delivered_before = delivered_seq_;
-      const uint64_t dups_before = stats_.dup_suppressed;
-      while (rx_buffer_.size() - cursor >= kFrameHeaderBytes && !dead_) {
-        ParsedFrameHeader header;
-        std::string header_error;
-        if (!ParseFrameHeader(rx_buffer_.data() + cursor, &header,
-                              &header_error)) {
-          MarkDeadLocked("lost framing: " + header_error);
-          break;
-        }
-        if (header.kind != FrameKind::kDistMessage ||
-            header.payload_size > options_.max_payload_bytes) {
-          MarkDeadLocked("lost framing: bad frame kind or oversized payload");
-          break;
-        }
-        const size_t frame_size =
-            kFrameHeaderBytes + static_cast<size_t>(header.payload_size);
-        if (rx_buffer_.size() - cursor < frame_size) break;  // partial frame
-        const uint8_t* payload_bytes =
-            rx_buffer_.data() + cursor + kFrameHeaderBytes;
-        const uint32_t crc =
-            Crc32(payload_bytes, static_cast<size_t>(header.payload_size));
-        if (crc != header.payload_crc) {
-          // Reject-and-renegotiate: drop the frame, tell the peer where the
-          // in-order stream ends so it retransmits from there.
-          ++stats_.crc_rejects;
-          if (obs::MetricsEnabled()) TransportMetrics::Get().crc_rejects->Inc();
-          if (last_nak_cum_ != delivered_seq_) {
-            last_nak_cum_ = delivered_seq_;
-            ++stats_.naks_sent;
-            SendControlLocked(kCtlNak, delivered_seq_);
-          }
-        } else {
-          const std::vector<uint8_t> payload(
-              payload_bytes, payload_bytes + header.payload_size);
-          HandleFrame(payload);
-        }
-        cursor += frame_size;
-      }
-      if (cursor > 0) {
-        rx_buffer_.erase(rx_buffer_.begin(),
-                         rx_buffer_.begin() + static_cast<ptrdiff_t>(cursor));
-      }
-      delivered_or_dup = delivered_seq_ != delivered_before ||
-                         stats_.dup_suppressed != dups_before;
-      if (delivered_or_dup && !dead_) {
-        // One cumulative ack per parse batch (covers re-acking duplicates).
-        SendControlLocked(kCtlAck, delivered_seq_);
-      }
+      ApplyRxLocked(batch);
       FlushWritesLocked();
-      if (peer_eof && !dead_) {
-        MarkDeadLocked("EOF from peer");
-      } else if (read_error && !dead_) {
-        MarkDeadLocked(read_error_text);
-      }
+      if (!read_error.empty() && !dead_) MarkDeadLocked(read_error);
       if (dead_) break;
     }
   }

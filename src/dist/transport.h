@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/fault.h"
@@ -50,6 +51,17 @@ namespace warplda {
 /// driven). Send() enqueues and wakes it; Receive() blocks on the delivery
 /// queue. Any thread may call Send/Receive; the io thread never calls user
 /// code. All shared state is mutex-guarded (TSan-clean by construction).
+///
+/// Data path: every byte costs one CRC pass and one user-space copy per
+/// direction, and the CRC never runs under `mutex_`.
+///  * Send() encodes frame header, channel header and body once, into the
+///    frame's own wire buffer, under `send_mutex_` (which serializes
+///    concurrent senders so frames enter the window in sequence order);
+///    `mutex_` covers only the enqueue. The io thread writes straight from
+///    those buffers with sendmsg(), a cursor marking partial writes.
+///  * The io thread reads straight into its stream buffer, checks CRCs and
+///    copies each payload into its Message outside `mutex_`, then takes the
+///    lock once per read batch to publish the results.
 class FrameChannel {
  public:
   struct Options {
@@ -98,9 +110,10 @@ class FrameChannel {
   FrameChannel(const FrameChannel&) = delete;
   FrameChannel& operator=(const FrameChannel&) = delete;
 
-  /// Enqueues a data message. Returns false when the channel is dead (the
-  /// message will never be delivered). Never blocks on the socket.
-  bool Send(uint32_t type, std::vector<uint8_t> body);
+  /// Enqueues a data message; `body` is copied once, into the frame. Returns
+  /// false when the channel is dead (the message will never be delivered).
+  /// Never blocks on the socket.
+  bool Send(uint32_t type, const std::vector<uint8_t>& body);
 
   /// Blocks up to `timeout_ms` for the next in-order message. kClosed means
   /// dead AND drained — messages delivered before death are still returned.
@@ -132,9 +145,11 @@ class FrameChannel {
   void Close();
 
  private:
+  using Wire = std::shared_ptr<const std::vector<uint8_t>>;
+
   struct Inflight {
     uint64_t seq = 0;
-    std::vector<uint8_t> wire;   ///< encoded frame, ready to resend
+    Wire wire;                   ///< encoded frame, ready to resend
     int64_t next_deadline_ms = 0;
     uint32_t attempts = 0;       ///< transmissions so far
     uint32_t backoff_ms = 0;
@@ -142,17 +157,46 @@ class FrameChannel {
     int64_t hold_until_ms = 0;   ///< kDelay fault: do not send before this
   };
 
+  /// One frame queued for the socket. The buffer is shared with its
+  /// Inflight entry, so an ack that retires the frame mid-write is safe.
+  struct TxSegment {
+    Wire wire;
+    size_t written = 0;  ///< bytes of `wire` already handed to the socket
+  };
+
+  /// What one parse pass over the stream buffer found. Built by the io
+  /// thread without `mutex_`, published under it by ApplyRxLocked.
+  struct RxBatch {
+    size_t bytes_read = 0;
+    std::vector<Message> delivered;  ///< in order
+    /// Peer acks / naks (channel type, cumulative seq), in stream order.
+    std::vector<std::pair<uint32_t, uint64_t>> peer_control;
+    std::vector<uint64_t> naks_to_send;  ///< cumulative seqs, in order
+    uint64_t crc_rejects = 0;
+    uint64_t dup_suppressed = 0;
+    bool ack = false;       ///< delivered or re-acked anything
+    std::string fatal;      ///< framing lost: why ("" when intact)
+  };
+
   void IoLoop();
   void MarkDeadLocked(const std::string& reason);
-  void HandleFrame(const std::vector<uint8_t>& payload);
-  void SendControlLocked(uint32_t ctl, uint64_t seq);
+  void TransmitDueLocked(int64_t now);
+  void QueueControlLocked(uint32_t ctl, uint64_t seq);
   void FlushWritesLocked();
-  bool WriteWireLocked(const std::vector<uint8_t>& wire);
+  size_t ReadAvailable(std::string* error);
+  void ParseFrames(RxBatch* batch);
+  void ParsePayload(const uint8_t* payload, size_t size, RxBatch* batch);
+  void ApplyRxLocked(RxBatch& batch);
 
   /// Fixed at construction; Close() only tears down the descriptors.
   WARP_IMMUTABLE_AFTER(FrameChannel) Options options_;
   WARP_IMMUTABLE_AFTER(FrameChannel, Close) int fd_ = -1;
   WARP_IMMUTABLE_AFTER(FrameChannel, Close) int wake_pipe_[2] = {-1, -1};
+
+  /// Held across a whole Send(): one frame builder at a time, so sequence
+  /// numbers enter `inflight_` in order while `mutex_` stays free.
+  std::mutex send_mutex_;
+  uint64_t next_seq_ = 1;  ///< guarded by send_mutex_
 
   mutable std::mutex mutex_;
   std::condition_variable rx_cv_;
@@ -162,20 +206,22 @@ class FrameChannel {
   std::string death_reason_;
 
   // TX state (io thread + Send under mutex_).
-  uint64_t next_seq_ = 1;
   std::deque<Inflight> inflight_;  ///< unacked, seq ascending
-  std::vector<uint8_t> out_buffer_;  ///< partially written wire bytes
+  std::deque<TxSegment> tx_queue_;  ///< frames not yet fully written
   int64_t last_tx_ms_ = 0;
 
-  // RX state.
-  std::vector<uint8_t> rx_buffer_;  ///< unparsed stream bytes
+  // RX state shared with receivers.
+  std::deque<Message> rx_queue_;
+  int64_t last_rx_ms_ = 0;
+
+  // RX stream state, touched only by the io thread (no lock).
+  std::vector<uint8_t> rx_buffer_;  ///< [0, rx_size_) holds unparsed bytes
+  size_t rx_size_ = 0;
   uint64_t delivered_seq_ = 0;      ///< highest in-order data seq delivered
   /// Last cumulative seq we NAKed, or ~0 if delivery has advanced since.
   /// One gap produces one NAK — re-NAKing on every out-of-order arrival
   /// would retransmit the whole window per arrival (a NAK storm).
   uint64_t last_nak_cum_ = ~0ULL;
-  std::deque<Message> rx_queue_;
-  int64_t last_rx_ms_ = 0;
 
   FaultInjector fault_;
   Stats stats_;

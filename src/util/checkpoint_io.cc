@@ -276,21 +276,28 @@ bool ParseFrameHeader(const uint8_t* bytes, ParsedFrameHeader* header,
   return true;
 }
 
-std::vector<uint8_t> EncodeFrame(FrameKind kind,
-                                 const std::vector<uint8_t>& payload) {
+void EncodeFrameHeader(FrameKind kind, const uint8_t* payload,
+                       size_t payload_size, uint8_t* header_out) {
   FrameHeader header;
   header.magic = kMagic;
   header.version = kFrameVersion;
   header.endian = kEndianTag;
   header.kind = static_cast<uint32_t>(kind);
   header.reserved = 0;
-  header.payload_size = payload.size();
-  header.payload_crc = Crc32(payload.data(), payload.size());
-  std::vector<uint8_t> wire(sizeof(header) + payload.size());
-  std::memcpy(wire.data(), &header, sizeof(header));
+  header.payload_size = payload_size;
+  header.payload_crc = Crc32(payload, payload_size);
+  std::memcpy(header_out, &header, sizeof(header));
+}
+
+std::vector<uint8_t> EncodeFrame(FrameKind kind,
+                                 const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> wire(kFrameHeaderBytes + payload.size());
   if (!payload.empty()) {
-    std::memcpy(wire.data() + sizeof(header), payload.data(), payload.size());
+    std::memcpy(wire.data() + kFrameHeaderBytes, payload.data(),
+                payload.size());
   }
+  EncodeFrameHeader(kind, wire.data() + kFrameHeaderBytes, payload.size(),
+                    wire.data());
   return wire;
 }
 

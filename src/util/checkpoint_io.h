@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace warplda {
@@ -72,7 +73,21 @@ class PayloadWriter {
     bytes_.insert(bytes_.end(), p, p + v.size() * sizeof(T));
   }
 
+  /// Reserves room for `bytes` more payload bytes, for writers that know
+  /// their size up front.
+  void Reserve(size_t bytes) { bytes_.reserve(bytes_.size() + bytes); }
+
+  /// Grows the payload by `bytes` and returns where they start, for bulk
+  /// fixed-size stores (valid until the next Put).
+  uint8_t* Extend(size_t bytes) {
+    bytes_.resize(bytes_.size() + bytes);
+    return bytes_.data() + bytes_.size() - bytes;
+  }
+
   const std::vector<uint8_t>& bytes() const { return bytes_; }
+
+  /// Moves the payload out without copying; the writer is left empty.
+  std::vector<uint8_t> Take() { return std::move(bytes_); }
 
  private:
   std::vector<uint8_t> bytes_;
@@ -90,6 +105,16 @@ class PayloadReader {
 
   size_t remaining() const { return size_ - pos_; }
   bool exhausted() const { return pos_ == size_; }
+
+  /// Consumes `bytes` payload bytes and returns where they start, or
+  /// nullptr (consuming nothing) when fewer remain — for bulk fixed-size
+  /// loads after the caller has bounded the count.
+  const uint8_t* Consume(size_t bytes) {
+    if (remaining() < bytes) return nullptr;
+    const uint8_t* p = data_ + pos_;
+    pos_ += bytes;
+    return p;
+  }
 
   template <typename T>
   bool Get(T* v) {
@@ -159,6 +184,12 @@ struct ParsedFrameHeader {
 /// be torn down, so callers treat it as fatal, not retryable.
 bool ParseFrameHeader(const uint8_t* bytes, ParsedFrameHeader* header,
                       std::string* error);
+
+/// Writes the kFrameHeaderBytes header for `payload_size` payload bytes
+/// already laid out in memory (CRC included) to `header_out`. Lets a caller
+/// build header and payload in one buffer without copying the payload.
+void EncodeFrameHeader(FrameKind kind, const uint8_t* payload,
+                       size_t payload_size, uint8_t* header_out);
 
 /// Serializes a complete frame (header + payload) into one contiguous wire
 /// image — what WriteFrameFd sends and what fault-injection tests mutate.
