@@ -5,12 +5,21 @@
 // bit-identical to single-process Iterate() — a distributed result that is
 // fast but different counts for nothing.
 //
-// Honest-reporting note: on a single-core container every "worker" shares
-// one physical CPU, so measured speedup tops out near (or below) 1x while
-// the model predicts near-linear scaling — the gap IS the finding, and the
-// hardware_threads field in the header is what explains it.
+// It also prints where each process's time goes (DistResult's phases, in
+// seconds per sweep), which is what explains the gap to ClusterSim's
+// near-linear prediction; the gap is not the host's core count. On a
+// 4-vCPU Xeon at the dist-2w shape (--scale 0.003 --k 200 --iters 10,
+// the committed BENCH_dist_transport.json), 2 and 4 workers
+// measure 1.42x and 1.34x against a predicted 1.99x and 3.99x. At 4
+// workers (0.145 s per sweep) a worker computes its blocks for 0.056 s,
+// a third of the 1-worker 0.162 s, but spends 0.046 s applying peers'
+// deltas and running EndStage on its full replica, which does not shrink
+// with more workers, and 0.037 s waiting for the deltas the coordinator
+// relays (its relay sends take 0.053 s per sweep).
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -26,6 +35,9 @@ int main(int argc, char** argv) {
   int64_t iterations = 3;
   int64_t grid = 4;
   int64_t max_workers = 4;
+  // Runs per worker count: the median run is reported, with the spread of
+  // all five.
+  constexpr int64_t kReps = 5;
   warplda::FlagSet flags;
   flags.Double("scale", &scale, "corpus scale vs the paper's NYTimes")
       .Int("k", &k, "number of topics")
@@ -72,21 +84,33 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   std::vector<std::string> breakdown;
   for (int64_t w = 1; w <= max_workers; w *= 2) {
-    warplda::WarpLdaSampler sampler;
-    sampler.Init(corpus, config);
-    warplda::DistConfig dist;
-    dist.num_workers = static_cast<uint32_t>(w);
-    dist.iterations = static_cast<uint32_t>(iterations);
-    const warplda::DistResult result =
-        RunDistributedSweeps(sampler, corpus, plan, dist);
-    if (!result.ok) {
-      std::fprintf(stderr, "dist run failed at %lld workers: %s\n",
-                   static_cast<long long>(w), result.error.c_str());
-      return 1;
+    // Each run: (seconds per sweep, result); every run must be identical.
+    std::vector<std::pair<double, warplda::DistResult>> runs;
+    bool identical = true;
+    for (int64_t r = 0; r < kReps; ++r) {
+      warplda::WarpLdaSampler sampler;
+      sampler.Init(corpus, config);
+      warplda::DistConfig dist;
+      dist.num_workers = static_cast<uint32_t>(w);
+      dist.iterations = static_cast<uint32_t>(iterations);
+      warplda::DistResult run =
+          RunDistributedSweeps(sampler, corpus, plan, dist);
+      if (!run.ok) {
+        std::fprintf(stderr, "dist run failed at %lld workers: %s\n",
+                     static_cast<long long>(w), run.error.c_str());
+        return 1;
+      }
+      identical =
+          identical && sampler.Assignments() == reference.Assignments();
+      double total = 0.0;
+      for (double s : run.sweep_seconds) total += s;
+      runs.emplace_back(total / static_cast<double>(iterations),
+                        std::move(run));
     }
-    double total = 0.0;
-    for (double s : result.sweep_seconds) total += s;
-    const double per_sweep = total / static_cast<double>(iterations);
+    std::sort(runs.begin(), runs.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    const double per_sweep = runs[runs.size() / 2].first;
+    const warplda::DistResult& result = runs[runs.size() / 2].second;
     if (w == 1) base_seconds = per_sweep;
     const double measured = base_seconds / per_sweep;
 
@@ -96,8 +120,6 @@ int main(int argc, char** argv) {
     const double predicted =
         warplda::ClusterSim(corpus, sim_config).SimulatedSpeedup();
 
-    const bool identical =
-        sampler.Assignments() == reference.Assignments();
     all_identical = all_identical && identical;
     const uint64_t retransmits = result.coordinator_stats.retransmits +
                                  result.worker_stats.retransmits;
@@ -133,7 +155,10 @@ int main(int argc, char** argv) {
 
     json.AddRow()
         .Int("workers", w)
+        .Int("reps", kReps)
         .Num("seconds_per_sweep", per_sweep)
+        .Num("seconds_per_sweep_min", runs.front().first)
+        .Num("seconds_per_sweep_max", runs.back().first)
         .Num("measured_speedup", measured)
         .Num("predicted_speedup", predicted)
         .Int("retransmits", static_cast<int64_t>(retransmits))
@@ -154,8 +179,8 @@ int main(int argc, char** argv) {
   }
   json.Write("BENCH_dist_transport.json");
 
-  std::printf("\nper-process breakdown, seconds per sweep "
-              "(worker columns: mean over workers)\n");
+  std::printf("\nper-process breakdown of each median run, seconds per "
+              "sweep (worker columns: mean over workers)\n");
   std::printf("%8s %8s %8s %8s %8s %8s | %8s %8s %8s %8s %8s\n", "workers",
               "c.pump", "c.relay", "c.wait", "c.barr", "c.capt", "w.comp",
               "w.send", "w.apply", "w.wait", "w.barr");
@@ -166,7 +191,7 @@ int main(int argc, char** argv) {
                  "FAIL: a distributed run diverged from Iterate()\n");
     return 1;
   }
-  std::printf("\nall worker counts bit-identical to Iterate(); "
-              "predicted-vs-measured gap reflects the host's core count\n");
+  std::printf("\nall worker counts bit-identical to Iterate(); the "
+              "breakdown above shows where the predicted speedup goes\n");
   return 0;
 }
