@@ -9,13 +9,14 @@
 // seconds per sweep), which is what explains the gap to ClusterSim's
 // near-linear prediction; the gap is not the host's core count. On a
 // 4-vCPU Xeon at the dist-2w shape (--scale 0.003 --k 200 --iters 10,
-// the committed BENCH_dist_transport.json), 2 and 4 workers
-// measure 1.42x and 1.34x against a predicted 1.99x and 3.99x. At 4
-// workers (0.145 s per sweep) a worker computes its blocks for 0.056 s,
-// a third of the 1-worker 0.162 s, but spends 0.046 s applying peers'
-// deltas and running EndStage on its full replica, which does not shrink
-// with more workers, and 0.037 s waiting for the deltas the coordinator
-// relays (its relay sends take 0.053 s per sweep).
+// the committed BENCH_dist_transport.json), 2 and 4 workers measure 1.33x
+// and 1.37x over 1 worker against a predicted 1.99x and 3.99x, and still
+// run at 0.81x and 0.83x of one in-process Iterate() thread. At 4 workers
+// (0.126 s per sweep) a worker computes its blocks for 0.050 s, a third
+// of the 1-worker 0.143 s, but spends 0.041 s applying peers' deltas and
+// running EndStage on its full replica, which does not shrink with more
+// workers, and 0.030 s waiting for the deltas the coordinator relays (its
+// relay sends take 0.044 s per sweep).
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -28,6 +29,7 @@
 #include "dist/dist_executor.h"
 #include "dist/partitioner.h"
 #include "util/flags.h"
+#include "util/stopwatch.h"
 
 int main(int argc, char** argv) {
   double scale = 0.002;
@@ -65,10 +67,21 @@ int main(int argc, char** argv) {
               static_cast<long long>(iterations));
 
   // Reference: the uninterrupted single-process run every distributed
-  // result must reproduce bit-for-bit.
+  // result must reproduce bit-for-bit. Its median time over kReps runs is
+  // the one-process bar a distributed run has to beat.
   warplda::WarpLdaSampler reference;
-  reference.Init(corpus, config);
-  for (int64_t i = 0; i < iterations; ++i) reference.Iterate();
+  std::vector<double> iterate_runs;
+  for (int64_t r = 0; r < kReps; ++r) {
+    reference = warplda::WarpLdaSampler();
+    reference.Init(corpus, config);
+    const warplda::Stopwatch watch;
+    for (int64_t i = 0; i < iterations; ++i) reference.Iterate();
+    iterate_runs.push_back(watch.Seconds() / static_cast<double>(iterations));
+  }
+  std::sort(iterate_runs.begin(), iterate_runs.end());
+  const double iterate_per_sweep = iterate_runs[iterate_runs.size() / 2];
+  std::printf("in-process Iterate() (1 thread): %.4f s per sweep\n",
+              iterate_per_sweep);
 
   warplda::bench::BenchJson json(
       "dist_transport", "synthetic-nytimes scale=" + std::to_string(scale));
@@ -76,6 +89,7 @@ int main(int argc, char** argv) {
       .Int("k", k)
       .Int("iterations", iterations)
       .Int("grid", grid)
+      .Num("iterate_seconds_per_sweep", iterate_per_sweep)
       .Str("transport", "AF_UNIX socketpair, frame protocol v2");
 
   std::printf("\n%8s %12s %12s %12s %10s %8s\n", "workers", "sweep_s",
@@ -160,6 +174,7 @@ int main(int argc, char** argv) {
         .Num("seconds_per_sweep_min", runs.front().first)
         .Num("seconds_per_sweep_max", runs.back().first)
         .Num("measured_speedup", measured)
+        .Num("speedup_vs_iterate", iterate_per_sweep / per_sweep)
         .Num("predicted_speedup", predicted)
         .Int("retransmits", static_cast<int64_t>(retransmits))
         .Int("frames_sent",
