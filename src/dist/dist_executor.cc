@@ -587,16 +587,6 @@ struct Coordinator {
   /// One pass over live channels: applies + relays any received deltas,
   /// returns true if anything arrived. Death is detected by the caller.
   bool PumpDeltas() {
-    // Relay sends are timed on their own; pump_s keeps the rest.
-    const Stopwatch watch;
-    const double relay_before = result.coordinator_phases.relay_s;
-    const bool any = PumpDeltasUntimed();
-    result.coordinator_phases.pump_s +=
-        watch.Seconds() - (result.coordinator_phases.relay_s - relay_before);
-    return any;
-  }
-
-  bool PumpDeltasUntimed() {
     bool any = false;
     FrameChannel::Message msg;
     for (uint32_t w = 0; w < workers.size(); ++w) {
@@ -653,9 +643,15 @@ struct Coordinator {
   bool WaitForSpan() {
     while (ran_count < num_blocks) {
       if (!result.error.empty()) return false;
+      // Relay sends inside PumpDeltas are timed on their own; pump_s keeps
+      // the rest.
+      DistResult::CoordinatorPhases& phases = result.coordinator_phases;
+      const Stopwatch pump;
+      const double relay_before = phases.relay_s;
       const bool any = PumpDeltas();
+      phases.pump_s += pump.Seconds() - (phases.relay_s - relay_before);
       if (!result.error.empty()) return false;
-      PhaseTimer wait(&result.coordinator_phases.wait_s);
+      PhaseTimer wait(&phases.wait_s);
       const uint32_t dead = DetectDeath();
       if (dead != DistConfig::kNoWorker) {
         if (!Recover(dead)) return false;
