@@ -50,7 +50,9 @@ namespace warplda {
 /// Threading: one io thread per channel owns the socket (nonblocking, poll
 /// driven). Send() enqueues and wakes it; Receive() blocks on the delivery
 /// queue. Any thread may call Send/Receive; the io thread never calls user
-/// code. All shared state is mutex-guarded (TSan-clean by construction).
+/// code. State shared between threads is mutex-guarded; the stream-parse
+/// state (rx buffer, delivered and NAKed sequence numbers) belongs to the
+/// io thread alone (TSan-clean by construction).
 ///
 /// Data path: every byte costs one CRC pass and one user-space copy per
 /// direction, and the CRC never runs under `mutex_`.
