@@ -1,14 +1,15 @@
-// Fig 9: scalability. Four panels:
+// Fig 9: scalability. Three panels:
 //  (a) multi-thread speedup of WarpLDA's fused phases (parallel row/column
 //      visits; on a single-core CI box the curve is flat — the harness still
 //      runs);
 //  (b) multi-thread speedup of the parallel grid-sweep executor (wavefront
 //      block scheduling over an 8×8 SweepPlan, per-worker scratch and ck
 //      deltas), checked bit-identical against the serial Iterate() run;
-//  (c) multi-machine speedup from the simulated cluster (PubMed shape);
-//  (d) convergence + throughput on the largest feasible ClueWeb-shaped
+//  (c) convergence + throughput on the largest feasible ClueWeb-shaped
 //      corpus, trained through the grid executor (TrainOptions::
 //      grid_execution).
+// The multi-machine speedup is measured over real worker processes by
+// bench/dist_transport (BENCH_dist_transport.json).
 // Measured rows are also written to BENCH_fig9.json (machine readable) so
 // the perf trajectory is tracked across commits.
 #include <algorithm>
@@ -20,7 +21,6 @@
 #include "core/parallel_executor.h"
 #include "core/trainer.h"
 #include "core/warp_lda.h"
-#include "dist/cluster_sim.h"
 #include "dist/partitioner.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
@@ -36,9 +36,9 @@ int main(int argc, char** argv) {
   if (!flags.Parse(argc, argv)) return 1;
 
   warplda::bench::PrintHeader(
-      "Fig 9: scalability (threads, machines, large-scale run)",
-      "Fig 9a-d — thread speedup (fused + grid executor), distributed "
-      "speedup, ClueWeb convergence and throughput");
+      "Fig 9: scalability (threads, large-scale run)",
+      "Fig 9 — thread speedup (fused + grid executor), ClueWeb "
+      "convergence and throughput");
 
   char dataset[64];
   std::snprintf(dataset, sizeof(dataset), "synthetic-nytimes scale=%g", scale);
@@ -92,84 +92,48 @@ int main(int argc, char** argv) {
     std::printf("\n(b) grid-executor thread scaling, 8x8 plan, same corpus\n");
 
     // Serial reference trajectory: the determinism oracle for every thread
-    // count below (grid execution must reproduce Iterate() exactly, with or
-    // without stage fusion).
+    // count below (grid execution must reproduce Iterate() exactly).
     warplda::WarpLdaSampler reference;
     reference.Init(corpus, config);
     for (int64_t i = 0; i < iterations + 1; ++i) reference.Iterate();
     const std::vector<warplda::TopicId> expected = reference.Assignments();
 
-    // Two panels: the fused span schedule (the default) and the four-stage
-    // schedule it replaced, kept live as the before/after comparison the
-    // fusion work is judged against.
-    struct FusionPanel {
-      const char* name;
-      warplda::StageFusion fusion;
-    };
-    for (const FusionPanel& fp :
-         {FusionPanel{"grid-sweep", warplda::StageFusion::kAuto},
-          FusionPanel{"grid-4stage", warplda::StageFusion::kNone}}) {
-      std::printf("  [%s]\n", fp.name);
-      double base = 0.0;
-      for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-        warplda::ParallelExecutor executor(threads);
-        warplda::WarpLdaOptions options;
-        options.fusion = fp.fusion;
-        warplda::WarpLdaSampler sampler(options);
-        sampler.Init(corpus, config);
-        executor.RunSweep(sampler, plan);  // warm-up
-        warplda::Stopwatch watch;
-        for (int64_t i = 0; i < iterations; ++i) {
-          executor.RunSweep(sampler, plan);
-        }
-        double seconds = watch.Seconds();
-        double throughput = corpus.num_tokens() * iterations / seconds / 1e6;
-        if (threads == 1) base = seconds;
-        const bool identical = sampler.Assignments() == expected;
-        std::printf("  threads %2u  %8.2f Mtok/s  speedup %.2fx  "
-                    "bit-identical to Iterate(): %s\n",
-                    threads, throughput, base / seconds,
-                    identical ? "yes" : "NO (BUG)");
-        std::fflush(stdout);
-        json.AddRow()
-            .Str("panel", fp.name)
-            .Int("threads", threads)
-            .Num("tokens_per_sec", throughput * 1e6)
-            .Num("wall_ms", seconds * 1e3)
-            .Num("speedup", base / seconds)
-            .Str("bit_identical", identical ? "yes" : "no");
+    double base = 0.0;
+    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+      warplda::ParallelExecutor executor(threads);
+      warplda::WarpLdaSampler sampler;
+      sampler.Init(corpus, config);
+      executor.RunSweep(sampler, plan);  // warm-up
+      warplda::Stopwatch watch;
+      for (int64_t i = 0; i < iterations; ++i) {
+        executor.RunSweep(sampler, plan);
       }
-    }
-  }
-
-  // (c) simulated machines.
-  {
-    warplda::Corpus corpus =
-        warplda::bench::MakeShapedCorpus("pubmed", scale / 27);
-    std::printf("\n(c) simulated distributed speedup on %s, K=%lld\n",
-                warplda::DescribeCorpus(corpus).c_str(),
-                static_cast<long long>(k));
-    for (uint32_t workers : {1u, 2u, 4u, 8u, 16u}) {
-      warplda::ClusterConfig cluster;
-      cluster.num_workers = workers;
-      warplda::ClusterSim sim(corpus, cluster);
-      std::printf("  machines %2u  speedup %.2fx  (word imbalance %.4f)\n",
-                  workers, sim.SimulatedSpeedup(), sim.WordImbalance());
+      double seconds = watch.Seconds();
+      double throughput = corpus.num_tokens() * iterations / seconds / 1e6;
+      if (threads == 1) base = seconds;
+      const bool identical = sampler.Assignments() == expected;
+      std::printf("  threads %2u  %8.2f Mtok/s  speedup %.2fx  "
+                  "bit-identical to Iterate(): %s\n",
+                  threads, throughput, base / seconds,
+                  identical ? "yes" : "NO (BUG)");
+      std::fflush(stdout);
       json.AddRow()
-          .Str("panel", "simulated-machines")
-          .Int("machines", workers)
-          .Num("speedup", sim.SimulatedSpeedup())
-          .Num("word_imbalance", sim.WordImbalance());
+          .Str("panel", "grid-sweep")
+          .Int("threads", threads)
+          .Num("tokens_per_sec", throughput * 1e6)
+          .Num("wall_ms", seconds * 1e3)
+          .Num("speedup", base / seconds)
+          .Str("bit_identical", identical ? "yes" : "no");
     }
   }
 
-  // (d) largest feasible run, trained through the grid executor.
+  // (c) largest feasible run, trained through the grid executor.
   {
     warplda::Corpus corpus =
         warplda::bench::MakeShapedCorpus("clueweb", scale / 500);
     const uint32_t threads =
         std::min(8u, std::max(1u, std::thread::hardware_concurrency()));
-    std::printf("\n(d) ClueWeb-shaped run: %s, K=%lld, M=1, grid-executed on "
+    std::printf("\n(c) ClueWeb-shaped run: %s, K=%lld, M=1, grid-executed on "
                 "%u threads\n",
                 warplda::DescribeCorpus(corpus).c_str(),
                 static_cast<long long>(k), threads);

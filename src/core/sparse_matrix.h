@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -61,9 +63,14 @@ class SparseMatrix {
 
   /// Adds an entry at (r, c). Multiple entries per cell are allowed (a word
   /// occurring twice in a document is two entries). Must be called in
-  /// row-major order (all of row 0, then row 1, …) so columns finalize
-  /// sorted by row id; this is asserted cheaply in Finalize.
+  /// row-major order (all of row 0, then row 1, …): columns then finalize
+  /// sorted by row id, and the i-th insertion is the i-th row entry, which
+  /// csc_position relies on. Throws std::invalid_argument on a row id below
+  /// the previous one.
   void AddEntry(uint32_t r, uint32_t c, Data data = Data()) {
+    if (!build_rows_.empty() && r < build_rows_.back()) [[unlikely]] {
+      RejectRowOrder(r);
+    }
     build_rows_.push_back(r);
     build_cols_.push_back(c);
     build_data_.push_back(data);
@@ -97,9 +104,10 @@ class SparseMatrix {
   const Data& entry_data(uint64_t csc_pos) const { return data_[csc_pos]; }
 
   /// CSC position of the i-th inserted entry (insertion order == row-major
-  /// token order), i.e. the row-to-column permutation.
+  /// token order), i.e. the row-to-column permutation. Row-major insertion
+  /// makes the row entry array exactly this permutation.
   uint64_t csc_position(uint64_t insertion_index) const {
-    return insertion_to_csc_[insertion_index];
+    return row_entries_[insertion_index];
   }
 
   /// Visits every column: op(thread_id, col, span<Data>). With num_threads>1
@@ -124,6 +132,15 @@ class SparseMatrix {
   }
 
  private:
+  // Out of line and cold so AddEntry stays small enough to inline into the
+  // per-token build loop.
+  [[noreturn, gnu::cold, gnu::noinline]] void RejectRowOrder(
+      uint32_t r) const {
+    throw std::invalid_argument(
+        "SparseMatrix::AddEntry: row " + std::to_string(r) +
+        " inserted after row " + std::to_string(build_rows_.back()));
+  }
+
   // Runs fn over [0, n), splitting into contiguous ranges with roughly equal
   // entry counts using the offsets prefix-sum (offsets[i] = entries before
   // item i).
@@ -168,8 +185,7 @@ class SparseMatrix {
   std::vector<Data> data_;               // CSC order
   std::vector<uint64_t> col_offsets_;    // cols_+1
   std::vector<uint64_t> row_offsets_;    // rows_+1
-  std::vector<uint64_t> row_entries_;    // CSC positions, grouped by row
-  std::vector<uint64_t> insertion_to_csc_;
+  std::vector<uint64_t> row_entries_;    // CSC positions, insertion order
 };
 
 template <typename Data>
@@ -184,21 +200,16 @@ void SparseMatrix<Data>::Finalize() {
   for (uint32_t r : build_rows_) ++row_offsets_[r + 1];
   for (uint32_t r = 0; r < rows_; ++r) row_offsets_[r + 1] += row_offsets_[r];
 
+  // Row-major insertion (enforced by AddEntry) means entries grouped by
+  // row are the entries in insertion order.
   data_.resize(n);
-  insertion_to_csc_.resize(n);
+  row_entries_.resize(n);
   std::vector<uint64_t> col_cursor(col_offsets_.begin(),
                                    col_offsets_.end() - 1);
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t pos = col_cursor[build_cols_[i]]++;
     data_[pos] = build_data_[i];
-    insertion_to_csc_[i] = pos;
-  }
-
-  row_entries_.resize(n);
-  std::vector<uint64_t> row_cursor(row_offsets_.begin(),
-                                   row_offsets_.end() - 1);
-  for (uint64_t i = 0; i < n; ++i) {
-    row_entries_[row_cursor[build_rows_[i]]++] = insertion_to_csc_[i];
+    row_entries_[i] = pos;
   }
 
   build_rows_.clear();

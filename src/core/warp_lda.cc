@@ -432,8 +432,8 @@ void WarpLdaSampler::Iterate() {
 // proposal slots plus scratch_[worker], so concurrent blocks share no
 // mutable memory (ParallelExecutor relies on exactly this).
 //
-// Stage fusion (StageFusion::kAuto) merges adjacent stages into one RunBlock
-// pass per block where the write-set proof holds:
+// Stage fusion merges adjacent stages into one RunBlock pass per block
+// where the write-set proof holds:
 //  * [word-propose, doc-accept] is always legal: a block's word-propose
 //    writes only its own tokens' proposal slots, and its doc-accept reads
 //    only its own tokens' proposals — the same token set, written earlier in
@@ -497,9 +497,7 @@ void WarpLdaSampler::BeginSweep(const SweepPlan& plan) {
   grid_.block_ran.assign(
       static_cast<size_t>(plan.num_doc_blocks) * plan.num_word_blocks, 0);
   // Mint both phase stream bases up front (the fused path's two ++epoch
-  // draws). Checkpoints therefore carry identical bytes at a given barrier
-  // regardless of which StageFusion setting produced them, and a restore
-  // under either setting resumes the same trajectory.
+  // draws), so a checkpoint at any barrier carries both.
   phase_epoch_ += 2;
   grid_.base_word = StreamBase(phase_epoch_ - 1);
   grid_.base_doc = StreamBase(phase_epoch_);
@@ -594,7 +592,6 @@ void WarpLdaSampler::BuildGridIndices(const SweepPlan& plan) {
 }
 
 int WarpLdaSampler::SpanLength(SweepStage s) const {
-  if (options_.fusion == StageFusion::kNone) return 1;
   switch (s) {
     case SweepStage::kWordAccept:
       return grid_.cols_ok ? 2 : 1;
@@ -610,12 +607,11 @@ int WarpLdaSampler::SpanLength(SweepStage s) const {
 void WarpLdaSampler::EnterSpan(SweepStage begin) {
   const int len = SpanLength(begin);
   // Snapshot refresh: any span containing an accept stage needs ck_fixed =
-  // the fold state at its phase boundary. Refreshing at word-propose entry
-  // (post word-accept fold; word-propose itself never reads it) keeps the
-  // value — and hence the checkpoint bytes at the word-propose barrier —
-  // the same whether doc-accept is fused into this span or runs later.
-  // Doc-propose entry must NOT refresh: its barrier checkpoint carries the
-  // doc-accept snapshot, not the post-doc-accept fold.
+  // the fold state at its phase boundary. Word-propose entry refreshes to
+  // the post word-accept fold for its fused doc-accept half (word-propose
+  // itself never reads it). Doc-propose entry must NOT refresh: its barrier
+  // checkpoint carries the doc-accept snapshot, not the post-doc-accept
+  // fold.
   if (begin != SweepStage::kDocPropose) ck_fixed_ = ck_live_;
   switch (begin) {
     case SweepStage::kWordAccept:
@@ -629,7 +625,7 @@ void WarpLdaSampler::EnterSpan(SweepStage begin) {
       // post-acceptance).
       if (!grid_.col_filled) BuildColArena();
       BuildColAliases();
-      if (len == 2) BuildRowArena();  // fused doc-accept reads rows
+      BuildRowArena();  // the fused doc-accept half reads rows
       break;
     case SweepStage::kDocAccept:
       BuildRowArena();
@@ -819,10 +815,8 @@ void WarpLdaSampler::RunBlock(uint32_t doc_block, uint32_t word_block,
       // [wp, da]: this block's doc-accept reads exactly the proposals its
       // word-propose half just wrote (the block's token set is the same on
       // both axes), so no barrier is needed between them.
-      if (len == 2) {
-        RunDocAcceptPart(doc_block, word_block, scratch,
-                         /*fused_propose=*/false);
-      }
+      RunDocAcceptPart(doc_block, word_block, scratch,
+                       /*fused_propose=*/false);
       break;
     case SweepStage::kDocAccept:
       RunDocAcceptPart(doc_block, word_block, scratch,
@@ -1138,10 +1132,8 @@ void WarpLdaSampler::EndStage() {
   }
   const SweepStage begin = grid_.stage;
   const int len = SpanLength(begin);
-  const bool had_accept = begin == SweepStage::kWordAccept ||
-                          begin == SweepStage::kDocAccept ||
-                          (begin == SweepStage::kWordPropose && len == 2);
-  if (had_accept) {
+  // Every span but [dp] holds an accept stage ([wp] always carries da).
+  if (begin != SweepStage::kDocPropose) {
     // Patch the shared column tables in place only when the next span's
     // alias builds will read them (an unfused word-accept feeding
     // word-propose); everywhere else the moves only touch z.
@@ -1451,11 +1443,9 @@ bool WarpLdaSampler::ApplyBlockDelta(const GridBlockDelta& delta,
   const bool word_items = delta.stage == SweepStage::kWordAccept;
   const uint64_t item_bound =
       word_items ? corpus_->num_words() : corpus_->num_docs();
-  const bool stages_moves =
-      delta.stage == SweepStage::kWordAccept ||
-      delta.stage == SweepStage::kDocAccept ||
-      (delta.stage == SweepStage::kWordPropose &&
-       SpanLength(SweepStage::kWordPropose) == 2);
+  const bool stages_moves = delta.stage == SweepStage::kWordAccept ||
+                            delta.stage == SweepStage::kWordPropose ||
+                            delta.stage == SweepStage::kDocAccept;
   if (!stages_moves && !delta.moves.empty()) {
     return fail("delta stages moves in a pure propose span");
   }

@@ -17,31 +17,12 @@
 
 namespace warplda {
 
-/// Grid-stage fusion policy (see RunBlock / EndStage and the README
-/// "Threading model" section for the legality proof).
-enum class StageFusion {
-  /// Always run the four-stage protocol, one stage per barrier. Keeps the
-  /// historical barrier structure for drivers that hand-step stages.
-  kNone,
-  /// Fuse adjacent stages into one RunBlock pass wherever the write-set
-  /// proof holds for the plan: word-propose+doc-accept always (propose
-  /// writes only its own tokens' proposal slots, which no accept reads);
-  /// word-accept+word-propose when every column lies within one doc block;
-  /// doc-accept+doc-propose when every row lies within one word block.
-  /// Cuts a full sweep from 4 barriers to 3 (grids) or 2 (trivial plans)
-  /// while remaining bit-identical to Iterate() and to kNone.
-  kAuto,
-};
-
 /// Runtime options for WarpLDA beyond the shared LdaConfig.
 struct WarpLdaOptions {
   /// Worker threads for the row/column visits (§5.3.1). Tracing requires 1.
   /// Sampling results are independent of the thread count: every token owns
   /// its own RNG stream, so parallel runs are bit-identical to serial runs.
   uint32_t num_threads = 1;
-  /// Stage fusion for grid sweeps. Results are identical either way; kNone
-  /// only changes which barriers exist (4 per sweep instead of 2–3).
-  StageFusion fusion = StageFusion::kAuto;
   /// Routes the batched kernels through their scalar reference paths even
   /// when the CPU supports the vector ones. Results are bit-identical either
   /// way (the test matrix proves it); this exists to run that proof and to
@@ -90,7 +71,7 @@ struct WarpLdaOptions {
 /// accept chain runs as a gather → vectorized-ratio → masked-select batch
 /// (core/simd_kernels.h). The fused Iterate() path keeps the simple scalar
 /// per-token form as the reference semantics; the bit-identity test matrix
-/// holds the two equal at every thread count, plan, and fusion setting.
+/// holds the two equal at every thread count and plan.
 class WarpLdaSampler : public Sampler, public GridSampler {
  public:
   explicit WarpLdaSampler(const WarpLdaOptions& options = {})
@@ -111,10 +92,11 @@ class WarpLdaSampler : public Sampler, public GridSampler {
 
   /// GridSampler: block-wise sweep execution (see core/sweep_plan.h for the
   /// protocol). Produces the same samples as Iterate() for any plan, any
-  /// block schedule, any worker count, and any StageFusion setting. Under
-  /// fusion, sweep_stage() names the *first* stage of the current span and
-  /// RunBlock executes every fused stage of the span for that block;
-  /// EndStage() advances past the whole span.
+  /// block schedule, and any worker count. Adjacent stages fuse into one
+  /// span wherever the plan allows it (see SpanLength): sweep_stage() names
+  /// the *first* stage of the current span, RunBlock executes every stage
+  /// of the span for that block, and EndStage() advances past the whole
+  /// span.
   void BeginSweep(const SweepPlan& plan) override;
   void RunBlock(uint32_t doc_block, uint32_t word_block,
                 uint32_t worker = 0) override;
@@ -134,10 +116,8 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// per-worker state is empty, so the checkpoint is just assignments,
   /// proposals, c_k snapshot, and RNG stream bases); restore reproduces that
   /// exact state in a fresh process, mid-sweep when the checkpoint was. Any
-  /// thread count — and any StageFusion setting; both stream bases are
-  /// minted at BeginSweep, so the checkpoint bytes do not depend on which
-  /// barriers the capturing run had — may finish a restored sweep
-  /// bit-identically to the uninterrupted run.
+  /// thread count may finish a restored sweep bit-identically to the
+  /// uninterrupted run.
   bool CaptureSweepState(SweepCheckpoint* out) const override;
   bool RestoreSweepState(const SweepCheckpoint& state,
                          std::string* error) override;
@@ -393,7 +373,7 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   void BuildGridIndices(const SweepPlan& plan);
 
   /// Length (1 or 2) of the fused stage span entered at `s`, under the
-  /// current plan's legality bits and the fusion option.
+  /// current plan's legality bits.
   int SpanLength(SweepStage s) const;
   /// Whether the span entered at `begin` draws proposals, and on which axis
   /// (word_ix vs doc_ix position order) they are gathered / scattered.

@@ -15,8 +15,7 @@
 namespace warplda {
 
 /// Fault-tolerant multi-process grid execution — the paper's multi-machine
-/// schedule (§5.3.2) run over real processes and real sockets instead of the
-/// analytic ClusterSim model.
+/// schedule (§5.3.2) run over real processes and real sockets.
 ///
 /// Topology: a coordinator forks `num_workers` worker processes, each
 /// connected back by one FrameChannel (AF_UNIX socketpair by default,
@@ -166,7 +165,7 @@ DistResult RunDistributedSweeps(GridSampler& sampler, const Corpus& corpus,
 
 /// Token count per grid block (row-major, num_doc_blocks × num_word_blocks)
 /// — the weights the executor partitions and repartitions by. Exposed for
-/// tests and the bench's predicted-speedup model.
+/// tests.
 std::vector<uint64_t> BlockTokenWeights(const Corpus& corpus,
                                         const SweepPlan& plan);
 

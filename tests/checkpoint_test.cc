@@ -324,8 +324,7 @@ TEST(CheckpointFuzzTest, SweepTruncationAtEveryByteIsRejected) {
   std::string error;
   bool saved = false;
   executor.RunSweep(sampler, plan, [&](SweepStage next) {
-    // doc-propose is a barrier under every StageFusion setting (doc-accept
-    // is fused away on this plan under kAuto).
+    // doc-propose is a barrier on every plan.
     if (next != SweepStage::kDocPropose || saved) return;
     SweepCheckpoint captured;
     ASSERT_TRUE(sampler.CaptureSweepState(&captured));
@@ -360,28 +359,30 @@ TEST_P(SweepRestoreBitIdentityTest, MidSweepRestoreMatchesUninterrupted) {
   Corpus corpus = MakeCorpus();
   LdaConfig config = LdaConfig::PaperDefaults(8);
   config.alpha = 0.1;
-  SweepPlan plan = MakeSweepPlan(corpus, 3, 2);
   constexpr uint32_t kTotalSweeps = 6;
   constexpr uint32_t kInterruptedSweep = 3;  // capture mid-sweep 3
 
-  // Uninterrupted serial reference.
+  // Uninterrupted reference: every plan samples exactly like Iterate().
   WarpLdaSampler reference;
   reference.Init(corpus, config);
-  ParallelExecutor serial(1);
-  for (uint32_t i = 0; i < kTotalSweeps; ++i) {
-    serial.RunSweep(reference, plan);
-  }
+  for (uint32_t i = 0; i < kTotalSweeps; ++i) reference.Iterate();
 
-  // Every barrier of the interrupted sweep is a legal capture point; check
-  // them all (word-propose, doc-accept, doc-propose). The victim runs with
-  // stage fusion off so all three barriers exist; the resumed sampler keeps
-  // the fused default — a restore must resume the same trajectory under
-  // either StageFusion setting, whichever produced the checkpoint.
-  WarpLdaOptions unfused;
-  unfused.fusion = StageFusion::kNone;
-  for (SweepStage barrier : {SweepStage::kWordPropose, SweepStage::kDocAccept,
-                             SweepStage::kDocPropose}) {
-    WarpLdaSampler victim(unfused);
+  // Every mid-sweep barrier is a legal capture point; check them all. The
+  // 8x8 plan's fused spans are [wa] | [wp, da] | [dp], so it stops at
+  // word-propose and doc-propose; the 1x4 plan's are [wa, wp] | [da] | [dp],
+  // so it stops at doc-accept.
+  struct Capture {
+    SweepPlan plan;
+    SweepStage barrier;
+  };
+  const SweepPlan grid8 = MakeSweepPlan(corpus, 8, 8);
+  const SweepPlan row4 = MakeSweepPlan(corpus, 1, 4);
+  for (const Capture& c : {Capture{grid8, SweepStage::kWordPropose},
+                           Capture{row4, SweepStage::kDocAccept},
+                           Capture{grid8, SweepStage::kDocPropose}}) {
+    const SweepPlan& plan = c.plan;
+    const SweepStage barrier = c.barrier;
+    WarpLdaSampler victim;
     victim.Init(corpus, config);
     ParallelExecutor capture_exec(capture_threads);
     for (uint32_t i = 0; i + 1 < kInterruptedSweep; ++i) {
@@ -570,7 +571,7 @@ TEST(CheckpointKillAndResumeTest, SigkillMidSweepResumesBitIdentical) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     // Child: train until the doc-propose barrier of sweep 4 (the mid-sweep
-    // barrier present under every StageFusion setting), then die hard.
+    // barrier present on every plan), then die hard.
     TrainOptions child_options = options;
     child_options.checkpoint_hook = [](uint32_t completed,
                                        SweepStage next_stage) {

@@ -9,7 +9,6 @@
 #include "core/parallel_executor.h"
 #include "core/warp_lda.h"
 #include "corpus/synthetic.h"
-#include "dist/cluster_sim.h"
 #include "dist/partitioner.h"
 
 namespace warplda {
@@ -110,25 +109,6 @@ TEST(GridSweepTest, ThreadCountDoesNotChangeSamples) {
   EXPECT_EQ(one.Assignments(), four.Assignments());
 }
 
-TEST(GridSweepTest, ClusterSimRunSweepProducesSerialSamples) {
-  Corpus corpus = TestCorpus();
-  LdaConfig config = TestConfig();
-  ClusterConfig cluster;
-  cluster.num_workers = 4;
-  ClusterSim sim(corpus, cluster);
-
-  WarpLdaSampler serial;
-  serial.Init(corpus, config);
-  WarpLdaSampler distributed;
-  distributed.Init(corpus, config);
-  for (int sweep = 0; sweep < 2; ++sweep) {
-    serial.Iterate();
-    IterationTiming timing = sim.RunSweep(distributed);
-    EXPECT_GT(timing.wall_seconds, 0.0);
-  }
-  EXPECT_EQ(serial.Assignments(), distributed.Assignments());
-}
-
 TEST(GridSweepTest, SweepProtocolViolationsThrow) {
   Corpus corpus = TestCorpus();
   WarpLdaSampler sampler;
@@ -180,11 +160,11 @@ TEST(GridSweepTest, SweepProtocolViolationsThrow) {
 }
 
 // The full bit-identity matrix for the stage-fusion work: fused spans,
-// the four-stage schedule, SIMD and scalar kernels, and 1/2/8 executor
-// threads must all reproduce the serial Iterate() trajectory exactly — on
-// plans that trigger every fusion shape (1x4 fuses [wa,wp] per column,
-// 4x1 fuses [da,dp] per row, Trivial fuses both, 8x8 fuses only [wp,da])
-// and with an asymmetric α so the doc-proposal prior alias is exercised.
+// SIMD and scalar kernels, and 1/2/8 executor threads must all reproduce
+// the serial Iterate() trajectory exactly — on plans that trigger every
+// fusion shape (1x4 fuses [wa,wp] per column, 4x1 fuses [da,dp] per row,
+// Trivial fuses both, 8x8 fuses only [wp,da]) and with an asymmetric α so
+// the doc-proposal prior alias is exercised.
 TEST(GridSweepTest, FusionKernelThreadMatrixMatchesIterate) {
   Corpus corpus = TestCorpus();
   LdaConfig config = TestConfig();
@@ -208,37 +188,33 @@ TEST(GridSweepTest, FusionKernelThreadMatrixMatchesIterate) {
       {"8x8", MakeSweepPlan(corpus, 8, 8, PartitionStrategy::kGreedy)},
   };
   for (const NamedPlan& np : plans) {
-    for (StageFusion fusion : {StageFusion::kNone, StageFusion::kAuto}) {
-      for (bool force_scalar : {false, true}) {
-        for (uint32_t threads : {1u, 2u, 8u}) {
-          WarpLdaOptions options;
-          options.fusion = fusion;
-          options.force_scalar_kernels = force_scalar;
-          WarpLdaSampler grid(options);
-          grid.Init(corpus, config);
-          ParallelExecutor executor(threads);
-          for (int sweep = 0; sweep < 2; ++sweep) {
-            executor.RunSweep(grid, np.plan);
-          }
-          EXPECT_EQ(grid.Assignments(), expected)
-              << "plan " << np.name << " fusion "
-              << (fusion == StageFusion::kAuto ? "auto" : "none")
-              << " scalar " << force_scalar << " threads " << threads;
+    for (bool force_scalar : {false, true}) {
+      for (uint32_t threads : {1u, 2u, 8u}) {
+        WarpLdaOptions options;
+        options.force_scalar_kernels = force_scalar;
+        WarpLdaSampler grid(options);
+        grid.Init(corpus, config);
+        ParallelExecutor executor(threads);
+        for (int sweep = 0; sweep < 2; ++sweep) {
+          executor.RunSweep(grid, np.plan);
         }
+        EXPECT_EQ(grid.Assignments(), expected)
+            << "plan " << np.name << " scalar " << force_scalar
+            << " threads " << threads;
       }
     }
   }
 }
 
 // Checkpoint capture at the barrier that ends the fused [word-propose,
-// doc-accept] span (the only mid-sweep barrier besides word-accept's under
-// kAuto on a general plan) must restore and finish bit-identically.
+// doc-accept] span (the only mid-sweep barrier besides word-accept's on a
+// general plan) must restore and finish bit-identically.
 TEST(GridSweepTest, CheckpointAcrossFusedSpanBarrierRestoresBitIdentical) {
   Corpus corpus = TestCorpus();
   LdaConfig config = TestConfig();
   SweepPlan plan = MakeSweepPlan(corpus, 3, 3, PartitionStrategy::kGreedy);
 
-  WarpLdaSampler reference;  // default options: fusion on
+  WarpLdaSampler reference;
   reference.Init(corpus, config);
   ParallelExecutor reference_exec(2);
   for (int sweep = 0; sweep < 3; ++sweep) reference_exec.RunSweep(reference, plan);
@@ -250,7 +226,7 @@ TEST(GridSweepTest, CheckpointAcrossFusedSpanBarrierRestoresBitIdentical) {
   SweepCheckpoint captured;
   bool saved = false;
   capture_exec.RunSweep(victim, plan, [&](SweepStage next) {
-    // Under kAuto on a 3x3 plan the sweep's barriers are word-accept ->
+    // On a 3x3 plan the sweep's barriers are word-accept ->
     // [word-propose, doc-accept] -> doc-propose; next == kDocPropose is the
     // barrier right after the fused span ran.
     if (next != SweepStage::kDocPropose || saved) return;

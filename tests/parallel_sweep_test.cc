@@ -17,7 +17,6 @@
 #include "core/trainer.h"
 #include "core/warp_lda.h"
 #include "corpus/synthetic.h"
-#include "dist/cluster_sim.h"
 #include "dist/partitioner.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -199,26 +198,6 @@ TEST(ParallelSweepTest, MoreBlocksThanThreadsStress) {
   EXPECT_EQ(serial.topic_counts(), grid.topic_counts());
 }
 
-TEST(ParallelSweepTest, ClusterSimRunSweepWithExecutorMatchesSerial) {
-  Corpus corpus = TestCorpus();
-  LdaConfig config = TestConfig();
-  ClusterConfig cluster;
-  cluster.num_workers = 4;
-  ClusterSim sim(corpus, cluster);
-
-  WarpLdaSampler serial;
-  serial.Init(corpus, config);
-  WarpLdaSampler distributed;
-  distributed.Init(corpus, config);
-  ParallelExecutor executor(4);
-  for (int sweep = 0; sweep < 2; ++sweep) {
-    serial.Iterate();
-    IterationTiming timing = sim.RunSweep(distributed, &executor);
-    EXPECT_GT(timing.wall_seconds, 0.0);
-  }
-  EXPECT_EQ(serial.Assignments(), distributed.Assignments());
-}
-
 TEST(ParallelSweepTest, TrainerGridExecutionMatchesFusedTraining) {
   Corpus corpus = TestCorpus();
   LdaConfig config = TestConfig();
@@ -308,15 +287,14 @@ size_t CountTraceEvents(const std::string& json, const std::string& name,
   return count;
 }
 
-// A traced grid sweep emits one balanced span per stage plus per-worker
-// block spans, with every thread's B/E events forming a proper nesting.
+// A traced grid sweep emits one balanced span per stage span plus
+// per-worker block spans, with every thread's B/E events forming a proper
+// nesting. A 3x3 plan runs [word-accept], [word-propose + doc-accept],
+// [doc-propose]: three spans named by their entry stage, three barriers,
+// and one block pass per span.
 TEST(ParallelSweepTest, RunSweepEmitsBalancedStageAndBlockSpans) {
   Corpus corpus = TestCorpus();
-  // Fusion off pins the historical four-span trace shape; the fused span
-  // shape is covered by FusedSweepTraceNamesSpanEntryStages below.
-  WarpLdaOptions unfused;
-  unfused.fusion = StageFusion::kNone;
-  WarpLdaSampler sampler(unfused);
+  WarpLdaSampler sampler;
   sampler.Init(corpus, TestConfig());
   SweepPlan plan = MakeSweepPlan(corpus, 3, 3);
   ParallelExecutor executor(2);
@@ -343,54 +321,23 @@ TEST(ParallelSweepTest, RunSweepEmitsBalancedStageAndBlockSpans) {
   for (const auto& [tid, d] : depth) {
     EXPECT_EQ(d, 0) << "open span left on tid " << tid;
   }
-  // All four stages appear exactly once per sweep...
-  EXPECT_EQ(begins["word-accept"], 1);
-  EXPECT_EQ(begins["word-propose"], 1);
-  EXPECT_EQ(begins["doc-accept"], 1);
-  EXPECT_EQ(begins["doc-propose"], 1);
-  EXPECT_EQ(begins["end-stage"], 4);
-  // ... and every stage ran all 9 blocks under a block span.
-  EXPECT_EQ(begins["block"], 4 * 9);
-}
-
-// Under the default fusion policy a grid plan runs [word-accept],
-// [word-propose + doc-accept], [doc-propose]: three spans named by their
-// entry stage, three barriers, and one block pass per span.
-TEST(ParallelSweepTest, FusedSweepTraceNamesSpanEntryStages) {
-  Corpus corpus = TestCorpus();
-  WarpLdaSampler sampler;  // default options: StageFusion::kAuto
-  sampler.Init(corpus, TestConfig());
-  SweepPlan plan = MakeSweepPlan(corpus, 3, 3);
-  ParallelExecutor executor(2);
-
-  obs::TraceRecorder& rec = obs::TraceRecorder::Global();
-  rec.Start();
-  executor.RunSweep(sampler, plan);
-  rec.Stop();
-  const std::vector<obs::TraceEvent> events = rec.Snapshot();
-  rec.Clear();
-
-  std::map<std::string, int> begins;
-  for (const obs::TraceEvent& event : events) {
-    if (event.phase == 'B') ++begins[event.name];
-  }
+  // Each span appears exactly once per sweep...
   EXPECT_EQ(begins["word-accept"], 1);
   EXPECT_EQ(begins["word-propose"], 1);  // doc-accept runs inside this span
   EXPECT_EQ(begins["doc-accept"], 0);
   EXPECT_EQ(begins["doc-propose"], 1);
   EXPECT_EQ(begins["end-stage"], 3);
+  // ... and every span ran all 9 blocks under a block span.
   EXPECT_EQ(begins["block"], 3 * 9);
 }
 
-// The PR's trace acceptance criterion: a grid-execution Train() with
-// trace_path set writes a Chrome trace whose JSON contains all four stage
-// spans per sweep plus per-worker block spans.
+// A grid-execution Train() with trace_path set writes a Chrome trace whose
+// JSON contains one span per fused stage span per sweep plus per-worker
+// block spans.
 TEST(ParallelSweepTest, TrainWithTracePathWritesChromeTraceJson) {
   Corpus corpus = TestCorpus();
   LdaConfig config = TestConfig();
-  WarpLdaOptions unfused;
-  unfused.fusion = StageFusion::kNone;  // pin the four-stage trace shape
-  WarpLdaSampler sampler(unfused);
+  WarpLdaSampler sampler;
   TrainOptions options;
   options.iterations = 3;
   options.eval_every = 0;
@@ -415,16 +362,17 @@ TEST(ParallelSweepTest, TrainWithTracePathWritesChromeTraceJson) {
   // One sweep span and one of each stage span per iteration.
   EXPECT_EQ(CountTraceEvents(json, "sweep", "trainer", 'B'),
             options.iterations);
-  for (const char* stage :
-       {"word-accept", "word-propose", "doc-accept", "doc-propose"}) {
+  // The 2x2 plan's spans are [wa] | [wp, da] | [dp].
+  for (const char* stage : {"word-accept", "word-propose", "doc-propose"}) {
     EXPECT_EQ(CountTraceEvents(json, stage, "stage", 'B'), options.iterations)
         << stage;
     EXPECT_EQ(CountTraceEvents(json, stage, "stage", 'E'), options.iterations)
         << stage;
   }
-  // 4 blocks per stage, 4 stages, 3 sweeps.
+  EXPECT_EQ(CountTraceEvents(json, "doc-accept", "stage", 'B'), 0u);
+  // 4 blocks per span, 3 spans, 3 sweeps.
   EXPECT_EQ(CountTraceEvents(json, "block", "executor", 'B'),
-            options.iterations * 4u * 4u);
+            options.iterations * 4u * 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -494,7 +442,7 @@ LdaConfig MatrixConfig(bool asymmetric_alpha) {
 }
 
 // Every plan shape (trivial and 1x4/4x1 fuse both span kinds, 8x8 only
-// [wp, da]), both fusion settings and 1/2/4/8 pool threads: pool-built
+// [wp, da]) and 1/2/4/8 pool threads: pool-built
 // arenas and alias tables must sample exactly like Iterate() and like the
 // serial GridSampler::RunSweep, which builds everything inline.
 TEST(ParallelSweepTest, PoolBarrierBuildsMatchIterateAndSerialRunSweep) {
@@ -511,31 +459,26 @@ TEST(ParallelSweepTest, PoolBarrierBuildsMatchIterateAndSerialRunSweep) {
       expected_z.push_back(reference.Assignments());
       expected_ck.push_back(reference.topic_counts());
     }
-    for (StageFusion fusion : {StageFusion::kNone, StageFusion::kAuto}) {
-      WarpLdaOptions options;
-      options.fusion = fusion;
-      WarpLdaSampler serial(options);
-      serial.Init(corpus, config);
+    WarpLdaSampler serial;
+    serial.Init(corpus, config);
+    for (int sweep = 0; sweep < kSweeps; ++sweep) {
+      serial.RunSweep(npc.plan);
+      ASSERT_EQ(serial.Assignments(), expected_z[sweep]) << npc.name;
+      ASSERT_EQ(serial.topic_counts(), expected_ck[sweep]) << npc.name;
+    }
+    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
+      WarpLdaSampler pooled;
+      pooled.Init(corpus, config);
+      ParallelExecutor executor(threads);
       for (int sweep = 0; sweep < kSweeps; ++sweep) {
-        serial.RunSweep(npc.plan);
-        ASSERT_EQ(serial.Assignments(), expected_z[sweep]) << npc.name;
-        ASSERT_EQ(serial.topic_counts(), expected_ck[sweep]) << npc.name;
+        executor.RunSweep(pooled, npc.plan);
+        ASSERT_EQ(pooled.Assignments(), expected_z[sweep])
+            << "plan " << npc.name << " threads " << threads << " sweep "
+            << sweep;
+        ASSERT_EQ(pooled.topic_counts(), expected_ck[sweep])
+            << "plan " << npc.name << " threads " << threads;
       }
-      for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-        WarpLdaSampler pooled(options);
-        pooled.Init(corpus, config);
-        ParallelExecutor executor(threads);
-        for (int sweep = 0; sweep < kSweeps; ++sweep) {
-          executor.RunSweep(pooled, npc.plan);
-          ASSERT_EQ(pooled.Assignments(), expected_z[sweep])
-              << "plan " << npc.name << " fusion "
-              << (fusion == StageFusion::kAuto ? "auto" : "none")
-              << " threads " << threads << " sweep " << sweep;
-          ASSERT_EQ(pooled.topic_counts(), expected_ck[sweep])
-              << "plan " << npc.name << " threads " << threads;
-        }
-        EXPECT_EQ(ParallelExecutor::DriverScoped(), nullptr);
-      }
+      EXPECT_EQ(ParallelExecutor::DriverScoped(), nullptr);
     }
   }
 }
@@ -568,15 +511,13 @@ TEST(ParallelSweepTest, DriverScopedExecutorIsVisibleOnlyAtBarriers) {
   EXPECT_GE(barriers, 3);  // BeginSweep + at least two EndStage barriers
   EXPECT_EQ(barriers_seeing_executor, barriers);
 
-  // The sampler does hand its builds to that pool: an unfused sweep makes
-  // one Run() per stage (4) plus one per barrier build — the column arena
-  // at BeginSweep, the alias tables at word-propose entry, the row arena at
-  // doc-accept entry — and every pooled Run() observes the barrier-wait
-  // histogram once.
+  // The sampler does hand its builds to that pool: a 3x3 sweep makes one
+  // Run() per fused span ([wa] | [wp, da] | [dp]: 3) plus one per barrier
+  // build — the column arena at BeginSweep, the alias tables and the row
+  // arena at word-propose entry — and every pooled Run() observes the
+  // barrier-wait histogram once.
   {
-    WarpLdaOptions unfused;
-    unfused.fusion = StageFusion::kNone;
-    WarpLdaSampler builds(unfused);
+    WarpLdaSampler builds;
     builds.Init(corpus, TestConfig());
     obs::SetMetricsEnabled(true);
     executor.RunSweep(builds, MakeSweepPlan(corpus, 3, 3));  // registers it
@@ -586,7 +527,7 @@ TEST(ParallelSweepTest, DriverScopedExecutorIsVisibleOnlyAtBarriers) {
     executor.RunSweep(builds, MakeSweepPlan(corpus, 3, 3));
     const uint64_t pooled_runs = runs->Snapshot().count - before;
     obs::SetMetricsEnabled(false);
-    EXPECT_EQ(pooled_runs, 4u + 3u);
+    EXPECT_EQ(pooled_runs, 3u + 3u);
   }
 
   // Plain Run() tasks see nothing either, and the serial protocol driver
@@ -670,24 +611,20 @@ TEST(ParallelSweepTest, LocalBlocksFilteredPoolSweepMatchesIterate) {
   // ownership a two-worker distributed run uses.
   std::vector<char> owned_by_a(16, 0);
   for (size_t b = 0; b < 8; ++b) owned_by_a[b] = 1;
-  for (StageFusion fusion : {StageFusion::kNone, StageFusion::kAuto}) {
-    for (uint32_t threads : {2u, 4u}) {
-      WarpLdaOptions options;
-      options.fusion = fusion;
-      WarpLdaSampler a(options);
-      WarpLdaSampler b(options);
-      a.Init(corpus, config);
-      b.Init(corpus, config);
-      SplitOwnerSampler split(a, b, owned_by_a);
-      ParallelExecutor executor(threads);
-      for (int sweep = 0; sweep < 3; ++sweep) executor.RunSweep(split, plan);
-      EXPECT_EQ(a.Assignments(), reference.Assignments())
-          << "threads " << threads;
-      EXPECT_EQ(b.Assignments(), reference.Assignments())
-          << "threads " << threads;
-      EXPECT_EQ(a.topic_counts(), reference.topic_counts());
-      EXPECT_EQ(b.topic_counts(), reference.topic_counts());
-    }
+  for (uint32_t threads : {2u, 4u}) {
+    WarpLdaSampler a;
+    WarpLdaSampler b;
+    a.Init(corpus, config);
+    b.Init(corpus, config);
+    SplitOwnerSampler split(a, b, owned_by_a);
+    ParallelExecutor executor(threads);
+    for (int sweep = 0; sweep < 3; ++sweep) executor.RunSweep(split, plan);
+    EXPECT_EQ(a.Assignments(), reference.Assignments())
+        << "threads " << threads;
+    EXPECT_EQ(b.Assignments(), reference.Assignments())
+        << "threads " << threads;
+    EXPECT_EQ(a.topic_counts(), reference.topic_counts());
+    EXPECT_EQ(b.topic_counts(), reference.topic_counts());
   }
 }
 
@@ -703,34 +640,31 @@ TEST(ParallelSweepTest, MidSweepRestoreFinishedAtAnotherWidthIsBitIdentical) {
   reference.Init(corpus, config);
   for (int sweep = 0; sweep < 3; ++sweep) reference.Iterate();
 
-  for (StageFusion fusion : {StageFusion::kNone, StageFusion::kAuto}) {
-    WarpLdaOptions options;
-    options.fusion = fusion;
-    WarpLdaSampler victim(options);
-    victim.Init(corpus, config);
-    ParallelExecutor capture_exec(2);
-    capture_exec.RunSweep(victim, plan);
-    std::vector<SweepCheckpoint> captured;
-    capture_exec.RunSweep(victim, plan, [&](SweepStage) {
-      SweepCheckpoint state;
-      ASSERT_TRUE(victim.CaptureSweepState(&state));
-      captured.push_back(std::move(state));
-    });
-    ASSERT_EQ(captured.size(), fusion == StageFusion::kNone ? 3u : 2u);
-    for (const SweepCheckpoint& state : captured) {
-      for (uint32_t threads : {1u, 4u, 8u}) {
-        WarpLdaSampler resumed(options);
-        resumed.Init(corpus, config);
-        std::string error;
-        ASSERT_TRUE(resumed.RestoreSweepState(state, &error)) << error;
-        ParallelExecutor resume_exec(threads);
-        resume_exec.FinishSweep(resumed, state.plan);
-        resume_exec.RunSweep(resumed, plan);
-        EXPECT_EQ(resumed.Assignments(), reference.Assignments())
-            << "restored at " << ToString(state.next_stage) << " threads "
-            << threads;
-        EXPECT_EQ(resumed.topic_counts(), reference.topic_counts());
-      }
+  WarpLdaSampler victim;
+  victim.Init(corpus, config);
+  ParallelExecutor capture_exec(2);
+  capture_exec.RunSweep(victim, plan);
+  std::vector<SweepCheckpoint> captured;
+  capture_exec.RunSweep(victim, plan, [&](SweepStage) {
+    SweepCheckpoint state;
+    ASSERT_TRUE(victim.CaptureSweepState(&state));
+    captured.push_back(std::move(state));
+  });
+  // The 8x8 spans are [wa] | [wp, da] | [dp]: two mid-sweep barriers.
+  ASSERT_EQ(captured.size(), 2u);
+  for (const SweepCheckpoint& state : captured) {
+    for (uint32_t threads : {1u, 4u, 8u}) {
+      WarpLdaSampler resumed;
+      resumed.Init(corpus, config);
+      std::string error;
+      ASSERT_TRUE(resumed.RestoreSweepState(state, &error)) << error;
+      ParallelExecutor resume_exec(threads);
+      resume_exec.FinishSweep(resumed, state.plan);
+      resume_exec.RunSweep(resumed, plan);
+      EXPECT_EQ(resumed.Assignments(), reference.Assignments())
+          << "restored at " << ToString(state.next_stage) << " threads "
+          << threads;
+      EXPECT_EQ(resumed.topic_counts(), reference.topic_counts());
     }
   }
 }

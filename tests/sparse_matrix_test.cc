@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -169,6 +170,21 @@ TEST(SparseMatrixTest, EmptyRowsAndColumns) {
   EXPECT_EQ(m.row(2).size(), 0u);
   EXPECT_TRUE(m.col_data(0).empty());
   EXPECT_TRUE(m.col_data(2).empty());
+}
+
+// csc_position reads the row entry array, which equals the insertion
+// permutation only under row-major insertion, so an out-of-order row is
+// rejected instead of silently mis-mapping tokens.
+TEST(SparseMatrixTest, AddEntryRejectsRowBelowPrevious) {
+  SparseMatrix<int> m;
+  m.Reset(3, 3);
+  m.AddEntry(1, 0, 1);
+  m.AddEntry(1, 2, 2);  // same row again is fine
+  EXPECT_THROW(m.AddEntry(0, 1, 3), std::invalid_argument);
+  m.AddEntry(2, 1, 4);  // the rejected entry left the build untouched
+  m.Finalize();
+  EXPECT_EQ(m.num_entries(), 3u);
+  EXPECT_EQ(m.entry_data(m.csc_position(2)), 4);
 }
 
 TEST(SparseMatrixTest, ResetClearsPreviousBuild) {
