@@ -69,7 +69,6 @@ int main(int argc, char** argv) {
   warplda::WarpLdaSampler reference;
   std::vector<double> iterate_runs;
   for (int64_t r = 0; r < kReps; ++r) {
-    reference = warplda::WarpLdaSampler();
     reference.Init(corpus, config);
     const warplda::Stopwatch watch;
     for (int64_t i = 0; i < iterations; ++i) reference.Iterate();

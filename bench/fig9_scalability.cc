@@ -1,7 +1,9 @@
 // Fig 9: scalability. Three panels:
-//  (a) multi-thread speedup of WarpLDA's fused phases (parallel row/column
-//      visits; on a single-core CI box the curve is flat — the harness still
-//      runs);
+//  (a) multi-thread speedup of Iterate() (the trivial plan's two whole-item
+//      spans as item-range tasks on the sampler's own pool), the median of
+//      kReps runs per thread count with their min/max, each run checked
+//      bit-identical to the 1-thread run; on a single-core CI box the curve
+//      is flat — the harness still runs;
 //  (b) multi-thread speedup of the parallel grid-sweep executor (wavefront
 //      block scheduling over an 8×8 SweepPlan, per-worker scratch and ck
 //      deltas), checked bit-identical against the serial Iterate() run;
@@ -14,6 +16,7 @@
 // the perf trajectory is tracked across commits.
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -37,47 +40,70 @@ int main(int argc, char** argv) {
 
   warplda::bench::PrintHeader(
       "Fig 9: scalability (threads, large-scale run)",
-      "Fig 9 — thread speedup (fused + grid executor), ClueWeb "
+      "Fig 9 — thread speedup (Iterate + grid executor), ClueWeb "
       "convergence and throughput");
 
   char dataset[64];
   std::snprintf(dataset, sizeof(dataset), "synthetic-nytimes scale=%g", scale);
   warplda::bench::BenchJson json("fig9", dataset);
 
-  // (a) threads, fused path (parallel VisitByColumn/VisitByRow).
+  // (a) threads, Iterate() on the sampler's pool. Runs are interleaved
+  // across thread counts (rep-major), so a host slowdown lands on every
+  // series rather than on one.
   {
+    constexpr int kReps = 5;
+    const uint32_t kThreads[] = {1u, 2u, 4u, 8u};
     warplda::Corpus corpus =
         warplda::bench::MakeShapedCorpus("nytimes", scale);
-    std::printf("\n(a) fused-phase thread scaling on %s, K=%lld "
-                "(host has %u cores)\n",
+    std::printf("\n(a) Iterate() thread scaling on %s, K=%lld, median of %d "
+                "runs (host has %u cores)\n",
                 warplda::DescribeCorpus(corpus).c_str(),
-                static_cast<long long>(k),
+                static_cast<long long>(k), kReps,
                 std::thread::hardware_concurrency());
     warplda::LdaConfig config =
         warplda::LdaConfig::PaperDefaults(static_cast<uint32_t>(k));
     config.mh_steps = 2;
-    double base = 0.0;
-    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-      warplda::WarpLdaOptions options;
-      options.num_threads = threads;
-      warplda::WarpLdaSampler sampler(options);
-      sampler.Init(corpus, config);
-      sampler.Iterate();  // warm-up
-      warplda::Stopwatch watch;
-      for (int64_t i = 0; i < iterations; ++i) sampler.Iterate();
-      double seconds = watch.Seconds();
-      double throughput = corpus.num_tokens() * iterations / seconds / 1e6;
-      if (threads == 1) base = seconds;
-      std::printf("  threads %2u  %8.2f Mtok/s  speedup %.2fx\n", threads,
-                  throughput, base / seconds);
-      std::fflush(stdout);
-      json.AddRow()
-          .Str("panel", "fused-iterate")
-          .Int("threads", threads)
-          .Num("tokens_per_sec", throughput * 1e6)
-          .Num("wall_ms", seconds * 1e3)
-          .Num("speedup", base / seconds);
+    std::vector<std::vector<double>> mtoks(std::size(kThreads));
+    std::vector<warplda::TopicId> expected;
+    bool identical = true;
+    for (int rep = 0; rep < kReps; ++rep) {
+      for (size_t t = 0; t < std::size(kThreads); ++t) {
+        warplda::WarpLdaOptions options;
+        options.num_threads = kThreads[t];
+        warplda::WarpLdaSampler sampler(options);
+        sampler.Init(corpus, config);
+        sampler.Iterate();  // warm-up
+        warplda::Stopwatch watch;
+        for (int64_t i = 0; i < iterations; ++i) sampler.Iterate();
+        const double seconds = watch.Seconds();
+        mtoks[t].push_back(corpus.num_tokens() * iterations / seconds / 1e6);
+        if (expected.empty()) expected = sampler.Assignments();
+        identical = identical && sampler.Assignments() == expected;
+      }
     }
+    double base = 0.0;
+    for (size_t t = 0; t < std::size(kThreads); ++t) {
+      std::vector<double>& runs = mtoks[t];
+      std::sort(runs.begin(), runs.end());
+      const double median = runs[runs.size() / 2];
+      if (t == 0) base = median;
+      std::printf("  threads %2u  %8.2f Mtok/s (min %.2f, max %.2f)  "
+                  "speedup %.2fx\n",
+                  kThreads[t], median, runs.front(), runs.back(),
+                  median / base);
+      json.AddRow()
+          .Str("panel", "iterate")
+          .Int("threads", kThreads[t])
+          .Int("reps", kReps)
+          .Num("tokens_per_sec", median * 1e6)
+          .Num("tokens_per_sec_min", runs.front() * 1e6)
+          .Num("tokens_per_sec_max", runs.back() * 1e6)
+          .Num("speedup", median / base);
+    }
+    std::printf("  every run bit-identical to the 1-thread run: %s\n",
+                identical ? "yes" : "NO (BUG)");
+    std::fflush(stdout);
+    if (!identical) return 1;
   }
 
   // (b) threads, grid-sweep executor (wavefront over an 8×8 plan).

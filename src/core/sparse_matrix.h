@@ -5,14 +5,13 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace warplda {
 
 /// The computational framework of paper §5.1 (Fig. 2): a sparse matrix whose
-/// fixed structure holds mutable per-entry data, supporting row-wise and
-/// column-wise visits with user-defined update functions.
+/// fixed structure holds mutable per-entry data, visited column by column
+/// (col_data) and row by row (row).
 ///
 /// Layout follows §5.2: entry data is stored once, contiguously in CSC order
 /// (column-major), with each column's entries sorted by row id. Rows are
@@ -25,11 +24,12 @@ namespace warplda {
 ///   m.Reset(D, V);
 ///   for (...) m.AddEntry(d, w, data);   // insertion must be row-major
 ///   m.Finalize();
-///   m.VisitByColumn([&](int tid, uint32_t c, std::span<Topic> col) {...});
-///   m.VisitByRow([&](int tid, uint32_t r, RowView row) {...});
+///   for (uint32_t c = 0; c < m.num_cols(); ++c) Update(m.col_data(c));
+///   for (uint32_t r = 0; r < m.num_rows(); ++r) Update(m.row(r));
 ///
-/// Visits can run multi-threaded; distinct rows/columns never share entries,
-/// so user functions only need thread-local scratch (paper §5.3.1).
+/// Distinct rows (or columns) never share entries, so a visit may split
+/// them across threads with only thread-local scratch (paper §5.3.1);
+/// col_offset / row_offset are the entry-count prefixes to balance on.
 template <typename Data>
 class SparseMatrix {
  public:
@@ -44,6 +44,8 @@ class SparseMatrix {
     /// CSC position of the i-th entry (stable across visits; callers use it
     /// to index side arrays parallel to the entry data).
     uint64_t entry_index(uint32_t i) const { return entries_[i]; }
+    /// The row's CSC positions, entry_index(0..size()-1) in one array.
+    const uint64_t* entries() const { return entries_; }
 
    private:
     Data* data_;
@@ -93,6 +95,10 @@ class SparseMatrix {
   /// i-th entry of col_data(c) lives at CSC position col_offset(c)+i).
   uint64_t col_offset(uint32_t c) const { return col_offsets_[c]; }
 
+  /// Entries in rows before r (row r's first entry is the row_offset(r)-th
+  /// in row-major order); row_offset(num_rows()) = num_entries().
+  uint64_t row_offset(uint32_t r) const { return row_offsets_[r]; }
+
   RowView row(uint32_t r) {
     return RowView(data_.data(), row_entries_.data() + row_offsets_[r],
                    static_cast<uint32_t>(row_offsets_[r + 1] -
@@ -110,27 +116,6 @@ class SparseMatrix {
     return row_entries_[insertion_index];
   }
 
-  /// Visits every column: op(thread_id, col, span<Data>). With num_threads>1
-  /// columns are split into contiguous ranges whose *entry counts* (not
-  /// column counts) are balanced — word frequencies are Zipfian, so naive
-  /// equal-width ranges would leave most threads idle behind the one owning
-  /// the head words (the load-balance concern of §5.3.2, applied to threads).
-  template <typename Op>
-  void VisitByColumn(Op&& op, uint32_t num_threads = 1) {
-    ParallelFor(cols_, col_offsets_, num_threads, [&](int tid, uint32_t c) {
-      op(tid, c, col_data(c));
-    });
-  }
-
-  /// Visits every row: op(thread_id, row, RowView). Ranges are balanced by
-  /// entry count, like VisitByColumn.
-  template <typename Op>
-  void VisitByRow(Op&& op, uint32_t num_threads = 1) {
-    ParallelFor(rows_, row_offsets_, num_threads, [&](int tid, uint32_t r) {
-      op(tid, r, row(r));
-    });
-  }
-
  private:
   // Out of line and cold so AddEntry stays small enough to inline into the
   // per-token build loop.
@@ -139,37 +124,6 @@ class SparseMatrix {
     throw std::invalid_argument(
         "SparseMatrix::AddEntry: row " + std::to_string(r) +
         " inserted after row " + std::to_string(build_rows_.back()));
-  }
-
-  // Runs fn over [0, n), splitting into contiguous ranges with roughly equal
-  // entry counts using the offsets prefix-sum (offsets[i] = entries before
-  // item i).
-  template <typename Fn>
-  static void ParallelFor(uint32_t n, const std::vector<uint64_t>& offsets,
-                          uint32_t num_threads, Fn&& fn) {
-    if (num_threads <= 1 || n < 2 * num_threads) {
-      for (uint32_t i = 0; i < n; ++i) fn(0, i);
-      return;
-    }
-    const uint64_t total = offsets[n];
-    std::vector<uint32_t> bounds(num_threads + 1, n);
-    bounds[0] = 0;
-    uint32_t cursor = 0;
-    for (uint32_t tid = 1; tid < num_threads; ++tid) {
-      uint64_t target = total * tid / num_threads;
-      while (cursor < n && offsets[cursor] < target) ++cursor;
-      bounds[tid] = cursor;
-    }
-    std::vector<std::thread> threads;
-    threads.reserve(num_threads);
-    for (uint32_t tid = 0; tid < num_threads; ++tid) {
-      uint32_t begin = bounds[tid];
-      uint32_t end = bounds[tid + 1];
-      threads.emplace_back([&fn, tid, begin, end] {
-        for (uint32_t i = begin; i < end; ++i) fn(static_cast<int>(tid), i);
-      });
-    }
-    for (auto& t : threads) t.join();
   }
 
   uint32_t rows_ = 0;

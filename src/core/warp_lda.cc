@@ -41,13 +41,18 @@ struct SamplerMetrics {
 
 }  // namespace
 
-// Determinism invariant: the fused phases (Iterate) and the grid stages
-// (BeginSweep..EndSweep) must sample identically. Both therefore share the
-// helpers below, and every (phase, token) pair draws from its own RNG stream:
-// acceptance and proposal draws depend only on the per-phase snapshots plus
-// the token's stream, never on which thread or grid block processed the token
-// first. Anything that would couple tokens — updating c_w/c_d during a scan,
-// a shared RNG cursor — is structured out.
+// Determinism invariant: Iterate() and the grid stages (BeginSweep..EndSweep)
+// must sample identically. Both therefore share the bodies below, and every
+// (phase, token) pair draws from its own RNG stream: acceptance and proposal
+// draws depend only on the per-phase snapshots plus the token's stream, never
+// on which thread, item range or grid block processed the token first.
+// Anything that would couple tokens — updating c_w/c_d during a scan, a
+// shared RNG cursor — is structured out.
+
+WarpLdaSampler::WarpLdaSampler(const WarpLdaOptions& options)
+    : options_(options) {}
+
+WarpLdaSampler::~WarpLdaSampler() = default;
 
 void WarpLdaSampler::Init(const Corpus& corpus, const LdaConfig& config) {
   corpus_ = &corpus;
@@ -87,12 +92,7 @@ void WarpLdaSampler::Init(const Corpus& corpus, const LdaConfig& config) {
 
   // Alg. 2 enters the word phase expecting pending doc proposals, so draw
   // the first batch now from the initial assignments (stream epoch 0).
-  const uint64_t stream_base = StreamBase(phase_epoch_);
-  matrix_.VisitByRow(
-      [&](int, uint32_t, SparseMatrix<TopicId>::RowView row) {
-        DrawDocProposals(stream_base, row);
-      },
-      options_.num_threads);
+  RedrawDocProposals();
 }
 
 void WarpLdaSampler::SetPriors(double alpha, double beta) {
@@ -126,12 +126,7 @@ void WarpLdaSampler::SetAssignments(const std::vector<TopicId>& assignments) {
   ck_fixed_ = ck_live_;
   // Refresh the pending proposals so the next word phase consumes proposals
   // drawn from the restored state (mirrors the tail of Init()).
-  const uint64_t stream_base = StreamBase(phase_epoch_);
-  matrix_.VisitByRow(
-      [&](int, uint32_t, SparseMatrix<TopicId>::RowView row) {
-        DrawDocProposals(stream_base, row);
-      },
-      options_.num_threads);
+  RedrawDocProposals();
 }
 
 std::vector<TopicId> WarpLdaSampler::Assignments() const {
@@ -142,20 +137,13 @@ std::vector<TopicId> WarpLdaSampler::Assignments() const {
   return out;
 }
 
-void WarpLdaSampler::BeginPhase() {
-  ck_fixed_ = ck_live_;
-  for (auto& s : scratch_) {
-    std::fill(s.ck_delta.begin(), s.ck_delta.end(), 0);
-  }
-}
-
-void WarpLdaSampler::EndPhase() {
+void WarpLdaSampler::FoldCkDeltas() {
   for (auto& s : scratch_) {
     for (uint32_t k = 0; k < config_.num_topics; ++k) {
       ck_live_[k] += s.ck_delta[k];
     }
+    std::fill(s.ck_delta.begin(), s.ck_delta.end(), 0);
   }
-  FlushScratchMetrics();
 }
 
 void WarpLdaSampler::BuildCounts(HashCount& counts,
@@ -240,9 +228,9 @@ void WarpLdaSampler::BuildAliasInto(ThreadScratch& scratch,
   // Alg. 2 builds the alias table over the post-acceptance C_wk: q_word ∝
   // C_wk + β as a mixture of this count-weighted table and the uniform β
   // branch. Entries are sorted by topic so the bin layout is a pure function
-  // of the count values: the fused path (which patches the acceptance-time
-  // snapshot with the move list) and the grid path (which patches the shared
-  // column arena with the staged moves at the barrier) insert keys in
+  // of the count values: a whole-column body (which patches its private
+  // snapshot with the move list) and an unfused grid plan (which patches the
+  // shared column arena with the staged moves at the barrier) insert keys in
   // different orders yet load identical tables.
   ++scratch.obs_alias_builds;
   scratch.alias_entries.clear();
@@ -264,16 +252,6 @@ void WarpLdaSampler::DrawWordProposalsInto(TopicId* slot,
   }
 }
 
-void WarpLdaSampler::DrawWordProposalsForToken(ThreadScratch& scratch,
-                                               uint64_t stream_base,
-                                               uint64_t token,
-                                               double count_prob) {
-  const uint32_t m = std::max(1u, config_.mh_steps);
-  Rng rng = StreamRng(stream_base, kTagPropose, token);
-  DrawWordProposalsInto(&proposals_[token * m], scratch.alias, rng,
-                        count_prob);
-}
-
 template <typename Values>
 void WarpLdaSampler::DrawDocProposalsInto(TopicId* slot, const Values& values,
                                           uint32_t len, Rng& rng,
@@ -290,134 +268,178 @@ void WarpLdaSampler::DrawDocProposalsInto(TopicId* slot, const Values& values,
   }
 }
 
-void WarpLdaSampler::DrawDocProposalsForToken(
-    uint64_t stream_base, uint64_t token, SparseMatrix<TopicId>::RowView row,
-    double position_prob) {
+void WarpLdaSampler::DrawWordProposalsForSegment(ThreadScratch& s,
+                                                 const uint64_t* positions,
+                                                 uint32_t n,
+                                                 const AliasTable& alias,
+                                                 uint32_t col_len,
+                                                 uint64_t stream_base) {
   const uint32_t m = std::max(1u, config_.mh_steps);
-  Rng rng = StreamRng(stream_base, kTagPropose, token);
-  DrawDocProposalsInto(&proposals_[token * m], row, row.size(), rng,
-                       position_prob);
+  // q_word ∝ C_wk + β: the count branch with probability L_w/(L_w + Kβ).
+  const double lw = static_cast<double>(col_len);
+  const double count_prob = lw / (lw + config_.beta * config_.num_topics);
+  if (s.rng_states.size() < n) s.rng_states.resize(n);
+  simd::DeriveStreamStates(stream_base, kTagPropose, positions, n,
+                           s.rng_states.data(), options_.force_scalar_kernels);
+  for (uint32_t i = 0; i < n; ++i) {
+    Rng rng = simd::RngFromState(s.rng_states[i]);
+    DrawWordProposalsInto(&proposals_[positions[i] * m], alias, rng,
+                          count_prob);
+  }
 }
 
-void WarpLdaSampler::DrawDocProposals(uint64_t stream_base,
-                                      SparseMatrix<TopicId>::RowView row) {
-  const uint32_t len = row.size();
-  if (len == 0) return;
+template <typename Values>
+void WarpLdaSampler::DrawDocProposalsForSegment(ThreadScratch& s,
+                                                const uint64_t* positions,
+                                                uint32_t n,
+                                                const Values& values,
+                                                uint32_t len,
+                                                uint64_t stream_base) {
+  const uint32_t m = std::max(1u, config_.mh_steps);
   // q_doc ∝ C_dk + α_k as the mixture of §4.3: with probability L_d/(L_d+ᾱ)
   // random positioning into z_d, otherwise a draw from the prior (uniform
   // for symmetric α, alias table over α_k otherwise).
   const double position_prob =
       static_cast<double>(len) / (static_cast<double>(len) + alpha_bar_);
-  for (uint32_t i = 0; i < len; ++i) {
-    DrawDocProposalsForToken(stream_base, row.entry_index(i), row,
-                             position_prob);
+  if (s.rng_states.size() < n) s.rng_states.resize(n);
+  simd::DeriveStreamStates(stream_base, kTagPropose, positions, n,
+                           s.rng_states.data(), options_.force_scalar_kernels);
+  for (uint32_t i = 0; i < n; ++i) {
+    Rng rng = simd::RngFromState(s.rng_states[i]);
+    DrawDocProposalsInto(&proposals_[positions[i] * m], values, len, rng,
+                         position_prob);
   }
 }
 
-void WarpLdaSampler::WordPhase() {
-  if (grid_.open) {
-    throw std::logic_error(
-        "WarpLdaSampler: WordPhase() during an active grid sweep");
+void WarpLdaSampler::DrawDocProposalsItemRange(ThreadScratch& s,
+                                               uint32_t begin, uint32_t end,
+                                               uint64_t stream_base) {
+  for (DocId d = begin; d < end; ++d) {
+    const auto row = matrix_.row(d);
+    if (row.size() == 0) continue;
+    DrawDocProposalsForSegment(s, row.entries(), row.size(), row, row.size(),
+                               stream_base);
   }
-  const uint32_t k_topics = config_.num_topics;
-  const uint32_t m = std::max(1u, config_.mh_steps);
+}
+
+void WarpLdaSampler::RedrawDocProposals() {
+  const uint64_t stream_base = StreamBase(phase_epoch_);
+  RunItemRanges(
+      OwnedPool(), corpus_->num_docs(),
+      [&](uint32_t d) { return matrix_.row_offset(d); },
+      [&](uint32_t worker, uint32_t begin, uint32_t end) {
+        DrawDocProposalsItemRange(scratch_[worker], begin, end, stream_base);
+      });
+}
+
+void WarpLdaSampler::SampleColumnItemRange(ThreadScratch& s, uint32_t begin,
+                                           uint32_t end, uint64_t stream_base,
+                                           bool write_z) {
   const double beta = config_.beta;
-  const uint64_t stream_base = StreamBase(++phase_epoch_);
-  BeginPhase();
-
-  matrix_.VisitByColumn(
-      [&](int tid, uint32_t w, std::span<TopicId> z) {
-        if (z.empty()) return;
-        ThreadScratch& s = scratch_[tid];
-        const uint32_t lw = static_cast<uint32_t>(z.size());
-        const uint64_t base = matrix_.col_offset(w);
-
-        // c_w on the fly (delayed snapshot for this word's acceptances).
-        BuildCounts(s.counts, z);
-        Trace(reinterpret_cast<const void*>(s.counts.slots().data()),
-              s.counts.capacity() *
-                  static_cast<uint32_t>(sizeof(HashCount::Entry)),
-              /*random=*/true, /*write=*/true);
-
-        // Accept the pending doc proposals against the snapshot; c_w is not
-        // updated mid-scan, so all of this word's acceptances see the same
-        // delayed counts (Alg. 2) and tokens stay order-independent. The net
-        // moves are recorded so the post-acceptance c_w comes from replaying
-        // them below — O(accepted) — instead of rescanning the column.
-        s.moves.clear();
-        for (uint32_t i = 0; i < lw; ++i) {
-          const TopicId before = z[i];
-          z[i] = AcceptChain(s, s.counts, z[i], &proposals_[(base + i) * m], m,
-                             nullptr, beta, stream_base, base + i);
-          if (z[i] != before) s.moves.emplace_back(before, z[i]);
-        }
-
-        // Fresh word proposals from the updated c_w: patch the snapshot with
-        // the moves (an intermediate chain hop nets out — only the endpoints
-        // matter), then build the order-stable alias table.
-        for (const auto& [from, to] : s.moves) {
-          s.counts.Dec(from);
-          s.counts.Inc(to);
-        }
-        BuildAliasInto(s, s.counts, s.alias);
-        const double count_prob =
-            static_cast<double>(lw) /
-            (static_cast<double>(lw) + beta * k_topics);
-        for (uint32_t i = 0; i < lw; ++i) {
-          DrawWordProposalsForToken(s, stream_base, base + i, count_prob);
-        }
-        TraceScopeEnd();
-      },
-      options_.num_threads);
-
-  EndPhase();
+  for (WordId w = begin; w < end; ++w) {
+    const std::span<const TopicId> z = matrix_.col_data(w);
+    const uint32_t n = static_cast<uint32_t>(z.size());
+    if (n == 0) continue;
+    // c_w on the fly: the delayed snapshot every acceptance of this column
+    // reads (Alg. 2), so tokens stay order-independent.
+    BuildCounts(s.counts, z);
+    Trace(reinterpret_cast<const void*>(s.counts.slots().data()),
+          s.counts.capacity() * static_cast<uint32_t>(sizeof(HashCount::Entry)),
+          /*random=*/true, /*write=*/true);
+    if (s.positions.size() < n) s.positions.resize(n);
+    const uint64_t base = matrix_.col_offset(w);
+    for (uint32_t i = 0; i < n; ++i) s.positions[i] = base + i;
+    const size_t moves_before = s.staged_moves.size();
+    AcceptSegment(s, s.counts, s.positions.data(), n, nullptr, beta,
+                  stream_base, w, /*final_topics=*/nullptr);
+    // Post-acceptance c_w for the proposals: patch the snapshot with the
+    // moves' endpoints (an intermediate chain hop nets out) instead of
+    // rescanning the column.
+    for (size_t i = moves_before; i < s.staged_moves.size(); ++i) {
+      const StagedMove& mv = s.staged_moves[i];
+      s.counts.Dec(mv.from);
+      s.counts.Inc(mv.to);
+      if (write_z) matrix_.entry_data(mv.pos) = mv.to;
+    }
+    if (write_z) s.staged_moves.resize(moves_before);
+    BuildAliasInto(s, s.counts, s.alias);
+    DrawWordProposalsForSegment(s, s.positions.data(), n, s.alias, n,
+                                stream_base);
+    TraceScopeEnd();
+  }
 }
 
-void WarpLdaSampler::DocPhase() {
-  if (grid_.open) {
-    throw std::logic_error(
-        "WarpLdaSampler: DocPhase() during an active grid sweep");
-  }
-  const uint32_t m = std::max(1u, config_.mh_steps);
+void WarpLdaSampler::SampleRowItemRange(ThreadScratch& s, uint32_t begin,
+                                        uint32_t end, uint64_t stream_base,
+                                        bool propose, bool write_z) {
   const std::vector<double>* alpha_vec =
       config_.alpha_vector.empty() ? nullptr : &config_.alpha_vector;
   const double alpha = config_.alpha;
-  const uint64_t stream_base = StreamBase(++phase_epoch_);
-  BeginPhase();
-
-  matrix_.VisitByRow(
-      [&](int tid, uint32_t, SparseMatrix<TopicId>::RowView row) {
-        const uint32_t len = row.size();
-        if (len == 0) return;
-        ThreadScratch& s = scratch_[tid];
-
-        // c_d on the fly (delayed snapshot for this document).
-        BuildCounts(s.counts, row);
-        Trace(reinterpret_cast<const void*>(s.counts.slots().data()),
-              s.counts.capacity() *
-                  static_cast<uint32_t>(sizeof(HashCount::Entry)),
-              /*random=*/true, /*write=*/true);
-
-        // Accept the pending word proposals (Eq. 7, π^word).
-        for (uint32_t i = 0; i < len; ++i) {
-          row[i] = AcceptChain(s, s.counts, row[i],
-                               &proposals_[row.entry_index(i) * m], m,
-                               alpha_vec, alpha, stream_base,
-                               row.entry_index(i));
-        }
-
-        // Fresh doc proposals from the updated z_d.
-        DrawDocProposals(stream_base, row);
-        TraceScopeEnd();
-      },
-      options_.num_threads);
-
-  EndPhase();
+  for (DocId d = begin; d < end; ++d) {
+    const auto row = matrix_.row(d);
+    const uint32_t n = row.size();
+    if (n == 0) continue;
+    // c_d on the fly (delayed snapshot for this document).
+    BuildCounts(s.counts, row);
+    Trace(reinterpret_cast<const void*>(s.counts.slots().data()),
+          s.counts.capacity() * static_cast<uint32_t>(sizeof(HashCount::Entry)),
+          /*random=*/true, /*write=*/true);
+    // Accept the pending word proposals (Eq. 7, π^word); the row's
+    // post-accept topics land in local_row for the propose half.
+    if (propose && s.local_row.size() < n) s.local_row.resize(n);
+    const size_t moves_before = s.staged_moves.size();
+    AcceptSegment(s, s.counts, row.entries(), n, alpha_vec, alpha,
+                  stream_base, d, propose ? s.local_row.data() : nullptr);
+    if (write_z) {
+      for (size_t i = moves_before; i < s.staged_moves.size(); ++i) {
+        matrix_.entry_data(s.staged_moves[i].pos) = s.staged_moves[i].to;
+      }
+      s.staged_moves.resize(moves_before);
+    }
+    if (propose) {
+      DrawDocProposalsForSegment(s, row.entries(), n, s.local_row.data(), n,
+                                 stream_base);
+    }
+    TraceScopeEnd();
+  }
 }
 
 void WarpLdaSampler::Iterate() {
-  WordPhase();
-  DocPhase();
+  if (corpus_ == nullptr) {
+    throw std::logic_error("WarpLdaSampler: Init() must precede Iterate()");
+  }
+  if (grid_.open) {
+    throw std::logic_error(
+        "WarpLdaSampler: Iterate() during an active grid sweep");
+  }
+  // The trivial plan's two whole-item spans, each one pass of item-range
+  // tasks with a fold at its end. Stream bases are minted as BeginSweep
+  // mints them, so the two paths draw from the same streams.
+  phase_epoch_ += 2;
+  const uint64_t base_word = StreamBase(phase_epoch_ - 1);
+  const uint64_t base_doc = StreamBase(phase_epoch_);
+  ParallelExecutor* pool = OwnedPool();
+
+  ck_fixed_ = ck_live_;
+  RunItemRanges(
+      pool, corpus_->num_words(),
+      [&](uint32_t w) { return matrix_.col_offset(w); },
+      [&](uint32_t worker, uint32_t begin, uint32_t end) {
+        SampleColumnItemRange(scratch_[worker], begin, end, base_word,
+                              /*write_z=*/true);
+      });
+  FoldCkDeltas();
+
+  ck_fixed_ = ck_live_;
+  RunItemRanges(
+      pool, corpus_->num_docs(),
+      [&](uint32_t d) { return matrix_.row_offset(d); },
+      [&](uint32_t worker, uint32_t begin, uint32_t end) {
+        SampleRowItemRange(scratch_[worker], begin, end, base_doc,
+                           /*propose=*/true, /*write_z=*/true);
+      });
+  FoldCkDeltas();
+  FlushScratchMetrics();
 }
 
 // --------------------------------------------------------------------------
@@ -426,11 +448,11 @@ void WarpLdaSampler::Iterate() {
 // partition) and apply them at the EndStage barrier, so every block of a
 // stage observes the same pre-stage state no matter the schedule. Combined
 // with the per-token RNG streams this makes any grid — including the 1×1
-// plan and the fused Iterate() — sample identically, on any number of
-// workers: a block body reads only shared *immutable* span state (z, the
-// count arenas, the column alias tables) and writes only its own tokens'
-// proposal slots plus scratch_[worker], so concurrent blocks share no
-// mutable memory (ParallelExecutor relies on exactly this).
+// plan and Iterate() — sample identically, on any number of workers: a
+// block body reads only shared *immutable* span state (z, the count arenas,
+// the column alias tables) and writes only its own tokens' proposal slots
+// plus scratch_[worker], so concurrent blocks share no mutable memory
+// (ParallelExecutor relies on exactly this).
 //
 // Stage fusion merges adjacent stages into one RunBlock pass per block
 // where the write-set proof holds:
@@ -445,7 +467,10 @@ void WarpLdaSampler::Iterate() {
 //  * [doc-accept, doc-propose] requires rows_ok (every row inside one word
 //    block): propose positions into the whole row's post-acceptance topics,
 //    patched locally (ThreadScratch::local_row) before the barrier.
-// Fusion never changes the samples — only which barriers exist.
+// Fusion never changes the samples — only which barriers exist. Where a
+// span's segments are whole items (cols_ok for [wa, wp], rows_ok for any
+// doc-accept) the blocks run Iterate()'s whole-item bodies with z staged,
+// and c_w/c_d stream through the worker's HashCount instead of an arena.
 
 void WarpLdaSampler::ReserveWorkers(uint32_t num_workers) {
   if (corpus_ == nullptr) {
@@ -496,8 +521,8 @@ void WarpLdaSampler::BeginSweep(const SweepPlan& plan) {
   }
   grid_.block_ran.assign(
       static_cast<size_t>(plan.num_doc_blocks) * plan.num_word_blocks, 0);
-  // Mint both phase stream bases up front (the fused path's two ++epoch
-  // draws), so a checkpoint at any barrier carries both.
+  // Mint both phase stream bases up front (as Iterate() does), so a
+  // checkpoint at any barrier carries both.
   phase_epoch_ += 2;
   grid_.base_word = StreamBase(phase_epoch_ - 1);
   grid_.base_doc = StreamBase(phase_epoch_);
@@ -625,10 +650,12 @@ void WarpLdaSampler::EnterSpan(SweepStage begin) {
       // post-acceptance).
       if (!grid_.col_filled) BuildColArena();
       BuildColAliases();
-      BuildRowArena();  // the fused doc-accept half reads rows
+      // The fused doc-accept half reads row tables unless its segments are
+      // whole rows, which stream c_d instead.
+      if (!grid_.rows_ok) BuildRowArena();
       break;
     case SweepStage::kDocAccept:
-      BuildRowArena();
+      if (!grid_.rows_ok) BuildRowArena();
       break;
     default:
       break;
@@ -656,16 +683,25 @@ void WarpLdaSampler::EnsureRowArenaGeometry() {
   row_counts_.AllocateFromHints(hints);
 }
 
-// Barrier-side builds run as item-range tasks on the executor driving the
-// sweep (ParallelExecutor::DriverScoped()), inline without one. Every item's
-// table depends only on z and the item itself, and each task clears and
-// fills only its own contiguous item range — a disjoint slice of the arena
-// slab, disjoint col_alias_ entries, and scratch_[worker] for the entry
-// buffer — so the result is the serial build's, bit for bit, at any width.
+// Item-range tasks: barrier-side builds run on the executor driving the
+// sweep (ParallelExecutor::DriverScoped()), Iterate()'s passes on the owned
+// pool, both inline without one. Every item's result depends only on the
+// pre-pass state and the item itself, and each task writes only its own
+// contiguous item range — a disjoint slice of the arena slab, disjoint
+// col_alias_ entries, its items' z and proposal slots — plus
+// scratch_[worker], so the result is the serial pass's, bit for bit, at any
+// width.
+ParallelExecutor* WarpLdaSampler::OwnedPool() {
+  if (options_.num_threads <= 1) return nullptr;
+  if (pool_ == nullptr) {
+    pool_ = std::make_unique<ParallelExecutor>(options_.num_threads);
+  }
+  return pool_.get();
+}
+
 template <typename Weight, typename Fn>
-void WarpLdaSampler::RunItemRanges(uint32_t num_items, const Weight& weight,
-                                   const Fn& fn) {
-  ParallelExecutor* pool = ParallelExecutor::DriverScoped();
+void WarpLdaSampler::RunItemRanges(ParallelExecutor* pool, uint32_t num_items,
+                                   const Weight& weight, const Fn& fn) {
   if (pool == nullptr || pool->num_threads() == 1) {
     fn(0u, 0u, num_items);
     return;
@@ -706,7 +742,8 @@ uint64_t WarpLdaSampler::ColCostPrefix(uint32_t w) const {
 void WarpLdaSampler::BuildColArena() {
   EnsureColArenaGeometry();
   RunItemRanges(
-      corpus_->num_words(), [&](uint32_t w) { return ColCostPrefix(w); },
+      ParallelExecutor::DriverScoped(), corpus_->num_words(),
+      [&](uint32_t w) { return ColCostPrefix(w); },
       [&](uint32_t, uint32_t begin, uint32_t end) {
         FillColArenaItemRange(begin, end);
       });
@@ -729,7 +766,7 @@ void WarpLdaSampler::BuildRowArena() {
   // patches for every block's moves and must stay complete).
   const std::vector<char> needed = LocalItemFilter(/*word_axis=*/false);
   RunItemRanges(
-      corpus_->num_docs(),
+      ParallelExecutor::DriverScoped(), corpus_->num_docs(),
       [&](uint32_t d) { return row_counts_.offset[d]; },
       [&](uint32_t, uint32_t begin, uint32_t end) {
         FillRowArenaItemRange(needed, begin, end);
@@ -755,7 +792,8 @@ void WarpLdaSampler::BuildColAliases() {
   // propose work happens in other processes.
   const std::vector<char> needed = LocalItemFilter(/*word_axis=*/true);
   RunItemRanges(
-      corpus_->num_words(), [&](uint32_t w) { return ColCostPrefix(w); },
+      ParallelExecutor::DriverScoped(), corpus_->num_words(),
+      [&](uint32_t w) { return ColCostPrefix(w); },
       [&](uint32_t worker, uint32_t begin, uint32_t end) {
         BuildColAliasItemRange(worker, needed, begin, end);
       });
@@ -956,69 +994,34 @@ void WarpLdaSampler::RunWordAcceptPart(uint32_t doc_block,
 void WarpLdaSampler::RunFusedWordPart(uint32_t doc_block, uint32_t word_block,
                                       ThreadScratch& s) {
   // [wa, wp] span (cols_ok): each segment is a whole column, so this block
-  // alone computes the column's post-acceptance counts — patch the private
-  // snapshot with the staged endpoints and build the alias table in place,
-  // skipping both the shared arena and a barrier.
-  const uint32_t k_topics = config_.num_topics;
-  const double beta = config_.beta;
-  const uint32_t m = std::max(1u, config_.mh_steps);
+  // alone computes the column's post-acceptance counts — the whole-column
+  // body builds the alias table in place, skipping both the shared arena
+  // and a barrier. z stays staged: ApplyStagedMoves (and a dist peer's
+  // ApplyBlockDelta) publish the moves at the barrier.
   const BlockIndex& ix =
       grid_.word_ix[static_cast<size_t>(doc_block) *
                         grid_.plan.num_word_blocks +
                     word_block];
   for (const BlockSegment& seg : ix.segments) {
-    const uint32_t n = seg.end - seg.begin;
-    const uint64_t* positions = &ix.positions[seg.begin];
-    auto z = matrix_.col_data(seg.item);
-    BuildCounts(s.counts, z);
-    const size_t moves_before = s.staged_moves.size();
-    AcceptSegment(s, s.counts, positions, n, nullptr, beta, grid_.base_word,
-                  seg.item, /*final_topics=*/nullptr);
-    for (size_t i = moves_before; i < s.staged_moves.size(); ++i) {
-      s.counts.Dec(s.staged_moves[i].from);
-      s.counts.Inc(s.staged_moves[i].to);
-    }
-    BuildAliasInto(s, s.counts, s.alias);
-    const double lw = static_cast<double>(z.size());
-    const double count_prob = lw / (lw + beta * k_topics);
-    if (s.rng_states.size() < n) s.rng_states.resize(n);
-    simd::DeriveStreamStates(grid_.base_word, kTagPropose, positions, n,
-                             s.rng_states.data(),
-                             options_.force_scalar_kernels);
-    for (uint32_t i = 0; i < n; ++i) {
-      Rng rng = simd::RngFromState(s.rng_states[i]);
-      DrawWordProposalsInto(&proposals_[positions[i] * m], s.alias, rng,
-                            count_prob);
-    }
+    SampleColumnItemRange(s, seg.item, seg.item + 1, grid_.base_word,
+                          /*write_z=*/false);
   }
 }
 
 void WarpLdaSampler::RunWordProposePart(uint32_t doc_block,
                                         uint32_t word_block,
                                         ThreadScratch& s) {
-  const uint32_t k_topics = config_.num_topics;
-  const double beta = config_.beta;
-  const uint32_t m = std::max(1u, config_.mh_steps);
   const BlockIndex& ix =
       grid_.word_ix[static_cast<size_t>(doc_block) *
                         grid_.plan.num_word_blocks +
                     word_block];
   for (const BlockSegment& seg : ix.segments) {
-    const uint32_t n = seg.end - seg.begin;
-    const uint64_t* positions = &ix.positions[seg.begin];
     // Post-acceptance alias table, built once per column at the span entry.
-    const AliasTable& alias = col_alias_[seg.item];
-    const double lw = static_cast<double>(matrix_.col_data(seg.item).size());
-    const double count_prob = lw / (lw + beta * k_topics);
-    if (s.rng_states.size() < n) s.rng_states.resize(n);
-    simd::DeriveStreamStates(grid_.base_word, kTagPropose, positions, n,
-                             s.rng_states.data(),
-                             options_.force_scalar_kernels);
-    for (uint32_t i = 0; i < n; ++i) {
-      Rng rng = simd::RngFromState(s.rng_states[i]);
-      DrawWordProposalsInto(&proposals_[positions[i] * m], alias, rng,
-                            count_prob);
-    }
+    DrawWordProposalsForSegment(
+        s, &ix.positions[seg.begin], seg.end - seg.begin,
+        col_alias_[seg.item],
+        static_cast<uint32_t>(matrix_.col_data(seg.item).size()),
+        grid_.base_word);
   }
 }
 
@@ -1026,67 +1029,39 @@ void WarpLdaSampler::RunDocAcceptPart(uint32_t doc_block, uint32_t word_block,
                                       ThreadScratch& s, bool fused_propose) {
   const std::vector<double>* alpha_vec =
       config_.alpha_vector.empty() ? nullptr : &config_.alpha_vector;
-  const double alpha = config_.alpha;
-  const uint32_t m = std::max(1u, config_.mh_steps);
   const BlockIndex& ix =
       grid_.doc_ix[static_cast<size_t>(doc_block) *
                        grid_.plan.num_word_blocks +
                    word_block];
   for (const BlockSegment& seg : ix.segments) {
-    const uint32_t n = seg.end - seg.begin;
-    const uint64_t* positions = &ix.positions[seg.begin];
-    const FlatCounts counts = row_counts_.view(seg.item);
-    if (!fused_propose) {
-      AcceptSegment(s, counts, positions, n, alpha_vec, alpha, grid_.base_doc,
-                    seg.item, /*final_topics=*/nullptr);
+    if (grid_.rows_ok) {
+      // The segment is the whole row in row order: the whole-row body
+      // streams c_d and, in a [da, dp] span, positions the proposals into
+      // the row's post-acceptance topics before the barrier publishes them.
+      SampleRowItemRange(s, seg.item, seg.item + 1, grid_.base_doc,
+                         fused_propose, /*write_z=*/false);
       continue;
     }
-    // [da, dp] span (rows_ok): the segment is the whole row in row order, so
-    // the post-acceptance topics land in local_row and the propose half can
-    // position into them before the barrier publishes the staged moves.
-    if (s.local_row.size() < n) s.local_row.resize(n);
-    AcceptSegment(s, counts, positions, n, alpha_vec, alpha, grid_.base_doc,
-                  seg.item, s.local_row.data());
-    const double position_prob =
-        static_cast<double>(n) / (static_cast<double>(n) + alpha_bar_);
-    if (s.rng_states.size() < n) s.rng_states.resize(n);
-    simd::DeriveStreamStates(grid_.base_doc, kTagPropose, positions, n,
-                             s.rng_states.data(),
-                             options_.force_scalar_kernels);
-    for (uint32_t i = 0; i < n; ++i) {
-      Rng rng = simd::RngFromState(s.rng_states[i]);
-      DrawDocProposalsInto(&proposals_[positions[i] * m], s.local_row.data(),
-                           n, rng, position_prob);
-    }
+    AcceptSegment(s, row_counts_.view(seg.item), &ix.positions[seg.begin],
+                  seg.end - seg.begin, alpha_vec, config_.alpha,
+                  grid_.base_doc, seg.item, /*final_topics=*/nullptr);
   }
 }
 
 void WarpLdaSampler::RunDocProposePart(uint32_t doc_block,
                                        uint32_t word_block,
                                        ThreadScratch& s) {
-  const uint32_t m = std::max(1u, config_.mh_steps);
   const BlockIndex& ix =
       grid_.doc_ix[static_cast<size_t>(doc_block) *
                        grid_.plan.num_word_blocks +
                    word_block];
   for (const BlockSegment& seg : ix.segments) {
-    const uint32_t n = seg.end - seg.begin;
-    const uint64_t* positions = &ix.positions[seg.begin];
-    auto row = matrix_.row(seg.item);
-    const uint32_t len = row.size();
     // Positioning reads the whole row's post-barrier topics; this block
     // draws only for its own tokens.
-    const double position_prob =
-        static_cast<double>(len) / (static_cast<double>(len) + alpha_bar_);
-    if (s.rng_states.size() < n) s.rng_states.resize(n);
-    simd::DeriveStreamStates(grid_.base_doc, kTagPropose, positions, n,
-                             s.rng_states.data(),
-                             options_.force_scalar_kernels);
-    for (uint32_t i = 0; i < n; ++i) {
-      Rng rng = simd::RngFromState(s.rng_states[i]);
-      DrawDocProposalsInto(&proposals_[positions[i] * m], row, len, rng,
-                           position_prob);
-    }
+    const auto row = matrix_.row(seg.item);
+    DrawDocProposalsForSegment(s, &ix.positions[seg.begin],
+                               seg.end - seg.begin, row, row.size(),
+                               grid_.base_doc);
   }
 }
 
@@ -1105,13 +1080,8 @@ void WarpLdaSampler::ApplyStagedMoves(bool patch_col_counts) {
       }
     }
     s.staged_moves.clear();
-    // Fold the per-worker ck-delta partitions — the once-per-barrier
-    // reduction that replaces a shared (contended) delta vector.
-    for (uint32_t k = 0; k < config_.num_topics; ++k) {
-      ck_live_[k] += s.ck_delta[k];
-    }
-    std::fill(s.ck_delta.begin(), s.ck_delta.end(), 0);
   }
+  FoldCkDeltas();
 }
 
 void WarpLdaSampler::EndStage() {

@@ -17,9 +17,13 @@
 
 namespace warplda {
 
+class ParallelExecutor;
+
 /// Runtime options for WarpLDA beyond the shared LdaConfig.
 struct WarpLdaOptions {
-  /// Worker threads for the row/column visits (§5.3.1). Tracing requires 1.
+  /// Threads Iterate(), Init() and SetAssignments() split their column and
+  /// row passes across (§5.3.1), on a pool the sampler owns. Tracing
+  /// requires 1.
   /// Sampling results are independent of the thread count: every token owns
   /// its own RNG stream, so parallel runs are bit-identical to serial runs.
   uint32_t num_threads = 1;
@@ -38,13 +42,13 @@ struct WarpLdaOptions {
 /// CSC (word-major) order with row pointers for the document sweep (§5.2).
 ///
 /// Each Iterate() runs the compressed two-pass schedule of §4.4:
-///  * word phase (VisitByColumn): build c_w on the fly, accept the pending
+///  * word pass, column by column: build c_w on the fly, accept the pending
 ///    *doc* proposals with π = min{1, (C_wt+β)(C_s+β̄)/((C_ws+β)(C_t+β̄))},
 ///    then draw M fresh *word* proposals from an alias table over the
 ///    updated q_word ∝ C_wk+β;
-///  * doc phase (VisitByRow): build c_d on the fly, accept the pending
-///    *word* proposals with π = min{1, (C_dt+α)(C_s+β̄)/((C_ds+α)(C_t+β̄))},
-///    then draw M fresh *doc* proposals by random positioning into z_d
+///  * doc pass, row by row: build c_d on the fly, accept the pending *word*
+///    proposals with π = min{1, (C_dt+α)(C_s+β̄)/((C_ds+α)(C_t+β̄))}, then
+///    draw M fresh *doc* proposals by random positioning into z_d
 ///    (q_doc ∝ C_dk+α).
 ///
 /// Counts are delayed (MCEM, §4.2): acceptance uses the per-phase snapshot
@@ -52,30 +56,35 @@ struct WarpLdaOptions {
 /// what decouples the two count matrices and shrinks the random-access
 /// footprint to one cache-resident vector (§3.3, Table 2's last row).
 ///
+/// Iterate() is the trivial 1×1 plan's two whole-item spans, [word-accept,
+/// word-propose] and [doc-accept, doc-propose]. Each span runs as
+/// cost-balanced item-range tasks on a pool the sampler owns (created on
+/// the first call that needs more than one thread, §5.3.1); every task owns
+/// whole columns or rows, so it writes their z in place.
+///
 /// Grid execution (GridSampler): the sweep also runs block-by-block over a
 /// SweepPlan's (doc-partition × word-partition) grid — the multi-machine
 /// schedule, where worker i owns doc partition i and word slices rotate.
 /// Every (phase, token) pair draws from its own RNG stream derived from the
 /// seed, and delayed counts make tokens within a stage independent, so any
-/// block order — and Iterate() itself, the trivial 1×1 plan — produces
-/// identical assignments. Distinct blocks of a stage may run concurrently
-/// (e.g. under ParallelExecutor): each RunBlock call works out of the
-/// calling worker's ThreadScratch — including its partition of the c_k
-/// deltas and its deferred move list, folded/applied once at the EndStage
-/// barrier — and writes only its own tokens' slots, so block bodies share
-/// no mutable memory.
+/// block order — and Iterate() itself — produces identical assignments.
+/// Distinct blocks of a stage may run concurrently (e.g. under
+/// ParallelExecutor): each RunBlock call works out of the calling worker's
+/// ThreadScratch — including its partition of the c_k deltas and its
+/// deferred move list, folded/applied once at the EndStage barrier — and
+/// writes only its own tokens' slots, so block bodies share no mutable
+/// memory.
 ///
-/// The grid hot loops are the optimized implementation: per-item count
-/// tables come from shared flat arenas built once per sweep (CountArena),
-/// per-token RNG streams are derived in vectorizable batches, and the MH
-/// accept chain runs as a gather → vectorized-ratio → masked-select batch
-/// (core/simd_kernels.h). The fused Iterate() path keeps the simple scalar
-/// per-token form as the reference semantics; the bit-identity test matrix
-/// holds the two equal at every thread count and plan.
+/// Both paths run the same per-item bodies (SampleColumnItemRange,
+/// SampleRowItemRange) and the same batched MH accept chain, a gather →
+/// vectorized-ratio → masked-select batch (core/simd_kernels.h). The
+/// reference semantics live outside this class: tests/reference_sampler.h
+/// is an independent serial, scalar sampler, and the test matrix holds
+/// Iterate() and every grid plan equal to it.
 class WarpLdaSampler : public Sampler, public GridSampler {
  public:
-  explicit WarpLdaSampler(const WarpLdaOptions& options = {})
-      : options_(options) {}
+  explicit WarpLdaSampler(const WarpLdaOptions& options = {});
+  ~WarpLdaSampler() override;
 
   void Init(const Corpus& corpus, const LdaConfig& config) override;
   void Iterate() override;
@@ -85,10 +94,6 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   std::string name() const override { return "WarpLDA"; }
 
   const WarpLdaOptions& options() const { return options_; }
-
-  /// Individual phases, exposed so benches can time them separately.
-  void WordPhase();
-  void DocPhase();
 
   /// GridSampler: block-wise sweep execution (see core/sweep_plan.h for the
   /// protocol). Produces the same samples as Iterate() for any plan, any
@@ -178,20 +183,20 @@ class WarpLdaSampler : public Sampler, public GridSampler {
     HashCount counts;
     AliasTable alias;
     /// This worker's partition of the c_k updates; folded into ck_live_ at
-    /// phase ends (fused path) and stage barriers (grid path).
+    /// Iterate()'s pass ends and at grid stage barriers.
     std::vector<int64_t> ck_delta;
     std::vector<std::pair<uint32_t, double>> alias_entries;
-    /// (from, to) net topic moves of the current column's acceptances; the
-    /// fused word phase replays them into `counts` instead of rescanning.
-    std::vector<std::pair<TopicId, TopicId>> moves;
     /// Deferred z writes of the current grid stage; applied (and count-arena
-    /// patched) at the EndStage barrier.
+    /// patched) at the EndStage barrier. Iterate()'s whole-item bodies use it
+    /// for one item's moves at a time and write them in place.
     std::vector<StagedMove> staged_moves;
+    /// CSC positions of the column SampleColumnItemRange is working on.
+    std::vector<uint64_t> positions;
     /// Batch-derived per-token RNG stream states for a propose segment.
     std::vector<simd::RngState> rng_states;
-    /// Fused doc-accept+propose: the row's post-acceptance topics, patched
-    /// locally so the propose half positions into post-accept values before
-    /// the barrier publishes them.
+    /// Whole-row doc-accept+propose: the row's post-acceptance topics, so
+    /// the propose half positions into post-accept values whether or not z
+    /// has been written yet.
     std::vector<TopicId> local_row;
     /// Accept-batch SoA scratch (one chunk of tokens; see AcceptSegment):
     /// per-proposal a=count+prior / b=ck_fixed+beta_bar gathers, the current
@@ -288,11 +293,10 @@ class WarpLdaSampler : public Sampler, public GridSampler {
         SplitMix64(stream_base ^ (static_cast<uint64_t>(tag) << 56) ^ token));
   }
 
-  /// Copies live global counts into the per-phase snapshot and clears the
-  /// per-thread deltas.
-  void BeginPhase();
-  /// Folds per-thread deltas into the live global counts.
-  void EndPhase();
+  /// Folds every worker's ck-delta partition into ck_live_ and zeroes it —
+  /// the once-per-barrier reduction that replaces a shared (contended)
+  /// delta vector.
+  void FoldCkDeltas();
 
   /// Builds `counts` from the topic values in `z` (capacity min(K, 2|z|)).
   void BuildCounts(HashCount& counts, std::span<const TopicId> z) const;
@@ -305,9 +309,8 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// passes (prior_vec=nullptr, prior=β); the doc phase passes the α_k
   /// vector (or nullptr) and the symmetric α. The RNG stream is seeded
   /// lazily — chains whose proposals all equal the current topic, or always
-  /// accept, draw nothing. This is the scalar reference accept path; the
-  /// grid stages run the batched equivalent (AcceptSegment) unless a tracer
-  /// is attached.
+  /// accept, draw nothing. AcceptSegment runs it token by token when a
+  /// memory tracer is attached, and its batched path equals it bit for bit.
   template <typename Counts>
   TopicId AcceptChain(ThreadScratch& s, const Counts& counts, TopicId current,
                       const TopicId* props, uint32_t m,
@@ -340,9 +343,10 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// branch of the mixture) from `counts`, which must hold the
   /// post-acceptance c_w. Entries are emitted in ascending-topic order, so
   /// the table depends only on the count *values* — not on how the hash
-  /// table was filled — letting the fused path update counts incrementally
-  /// (replaying the acceptance moves) while the grid path patches the shared
-  /// column arena at the stage barrier, bit-identically.
+  /// table was filled — letting a whole-column body update its private
+  /// counts incrementally (replaying the acceptance moves) while an unfused
+  /// grid plan patches the shared column arena at the stage barrier,
+  /// bit-identically.
   template <typename Counts>
   void BuildAliasInto(ThreadScratch& scratch, const Counts& counts,
                       AliasTable& alias);
@@ -351,21 +355,30 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// pre-seeded stream RNG.
   void DrawWordProposalsInto(TopicId* slot, const AliasTable& alias, Rng& rng,
                              double count_prob);
-  /// Draws M word proposals for one token (constructs the token's stream).
-  void DrawWordProposalsForToken(ThreadScratch& scratch, uint64_t stream_base,
-                                 uint64_t token, double count_prob);
   /// Draws M doc proposals into `slot` by random positioning into `values`
   /// (any indexable view of the row's topics), α branch as fallback (§4.3).
   template <typename Values>
   void DrawDocProposalsInto(TopicId* slot, const Values& values, uint32_t len,
                             Rng& rng, double position_prob);
-  /// Draws M doc proposals for one token (constructs the token's stream).
-  void DrawDocProposalsForToken(uint64_t stream_base, uint64_t token,
-                                SparseMatrix<TopicId>::RowView row,
-                                double position_prob);
-  /// Draws M doc proposals for every token of `row`.
-  void DrawDocProposals(uint64_t stream_base,
-                        SparseMatrix<TopicId>::RowView row);
+  /// Draws M word proposals for each of the n tokens at `positions` (all of
+  /// one column, whose length is `col_len`) from `alias`, deriving the
+  /// tokens' streams in one batch.
+  void DrawWordProposalsForSegment(ThreadScratch& s, const uint64_t* positions,
+                                   uint32_t n, const AliasTable& alias,
+                                   uint32_t col_len, uint64_t stream_base);
+  /// Draws M doc proposals for each of the n tokens at `positions` (all of
+  /// one row) by positioning into `values`, the row's len topics.
+  template <typename Values>
+  void DrawDocProposalsForSegment(ThreadScratch& s, const uint64_t* positions,
+                                  uint32_t n, const Values& values,
+                                  uint32_t len, uint64_t stream_base);
+  /// Doc proposals for every token of rows [begin, end) from the current z:
+  /// the pending proposals Init() and SetAssignments() leave for the next
+  /// word pass.
+  void DrawDocProposalsItemRange(ThreadScratch& s, uint32_t begin,
+                                 uint32_t end, uint64_t stream_base);
+  /// Redraws every row's pending doc proposals on the owned pool.
+  void RedrawDocProposals();
 
   /// (Re)builds the plan-derived grid indices (per-block segment lists,
   /// fusion legality) unless they already match `plan`. Shared by BeginSweep
@@ -403,13 +416,18 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// Grows scratch_ to `num_workers` entries (ReserveWorkers' body; also
   /// used by RunItemRanges for the pool it hands tasks to).
   void GrowScratch(uint32_t num_workers);
+  /// The pool Iterate(), Init() and SetAssignments() run their item ranges
+  /// on: created on the first call with num_threads > 1, so grid-only users
+  /// and forked dist workers own no threads. nullptr at one thread.
+  ParallelExecutor* OwnedPool();
   /// Runs fn(worker, begin, end) over contiguous ranges covering items
-  /// [0, num_items): as tasks on ParallelExecutor::DriverScoped() when a
-  /// sweep driver provides one, as one inline range otherwise. `weight(i)`
-  /// is a non-decreasing cost prefix (weight(num_items) = total cost);
-  /// ranges carry equal cost shares. Barrier-side only.
+  /// [0, num_items): as kItemChunksPerThread tasks per thread on `pool`, as
+  /// one inline range without one. `weight(i)` is a non-decreasing cost
+  /// prefix (weight(num_items) = total cost); ranges carry equal cost
+  /// shares. Driver-side only: never call it from a task body.
   template <typename Weight, typename Fn>
-  void RunItemRanges(uint32_t num_items, const Weight& weight, const Fn& fn);
+  void RunItemRanges(ParallelExecutor* pool, uint32_t num_items,
+                     const Weight& weight, const Fn& fn);
   /// Cost prefix of the column builds over columns [0, w).
   uint64_t ColCostPrefix(uint32_t w) const;
   /// Barrier-task bodies of the builds above, one item range each. Tasks of
@@ -420,6 +438,25 @@ class WarpLdaSampler : public Sampler, public GridSampler {
                              uint32_t end);
   void BuildColAliasItemRange(uint32_t worker, const std::vector<char>& needed,
                               uint32_t begin, uint32_t end);
+
+  /// The whole-item bodies, shared by Iterate() and the grid spans whose
+  /// segments are whole items. Each runs under one task that owns its items
+  /// outright, using `s` alone.
+  ///
+  /// SampleColumnItemRange: [word-accept, word-propose] over columns
+  /// [begin, end) — c_w streamed through s.counts, the batched accept,
+  /// the moves replayed into c_w, the alias table, the word proposals.
+  /// SampleRowItemRange: doc-accept over rows [begin, end) with c_d
+  /// streamed through s.counts, then (when `propose`) the doc proposals
+  /// positioned into the row's post-accept topics.
+  ///
+  /// With `write_z` the accepted topics are written to z in place — legal
+  /// only when no other task reads these items' z before the next barrier,
+  /// which is Iterate()'s case; the grid leaves them staged for EndStage.
+  void SampleColumnItemRange(ThreadScratch& s, uint32_t begin, uint32_t end,
+                             uint64_t stream_base, bool write_z);
+  void SampleRowItemRange(ThreadScratch& s, uint32_t begin, uint32_t end,
+                          uint64_t stream_base, bool propose, bool write_z);
 
   /// Grid block bodies, one per (span pattern, axis). Concurrency-safe
   /// across distinct blocks: they read shared *immutable* span state, write
@@ -437,7 +474,7 @@ class WarpLdaSampler : public Sampler, public GridSampler {
                          ThreadScratch& s);
   /// Applies every worker's staged moves to z (and, when the next span's
   /// alias builds will read it, patches the column count arena), then folds
-  /// the per-worker ck-delta partitions into ck_live_.
+  /// the per-worker ck-delta partitions into ck_live_ (FoldCkDeltas).
   void ApplyStagedMoves(bool patch_col_counts);
 
   WarpLdaOptions options_;
@@ -451,8 +488,11 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   std::shared_ptr<const TopicModel> last_export_;
 
   /// z in CSC order. Shared-read during grid stages; mutations are staged in
-  /// ThreadScratch::staged_moves and applied under the EndStage barrier.
-  WARP_BARRIER_ONLY SparseMatrix<TopicId> matrix_;
+  /// ThreadScratch::staged_moves and applied under the EndStage barrier —
+  /// except in the whole-item bodies, whose task owns every entry of its
+  /// columns or rows and may write them in place.
+  WARP_ITEM_OWNED(SampleColumnItemRange, SampleRowItemRange)
+  SparseMatrix<TopicId> matrix_;
   /// M proposals per token, CSC order. Deliberately unannotated: propose
   /// stages legitimately write their own tokens' slots concurrently (the
   /// slot ranges are disjoint by construction), which a per-member contract
@@ -460,7 +500,7 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   std::vector<TopicId> proposals_;
   WARP_BARRIER_ONLY AliasTable prior_alias_;  // over α_k (asymmetric prior)
   /// c_k snapshot used in acceptance — frozen while any phase/span is open.
-  WARP_IMMUTABLE_AFTER(Init, SetAssignments, BeginPhase, EnterSpan,
+  WARP_IMMUTABLE_AFTER(Init, SetAssignments, Iterate, EnterSpan,
                        RestoreSweepState)
   std::vector<int64_t> ck_fixed_;
   /// Live c_k, maintained across phases by folding per-worker ck_delta
@@ -475,6 +515,8 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// SetLocalBlocks ownership flags (num_blocks, row-major); empty = no
   /// filter, build every per-item cache.
   WARP_BARRIER_ONLY std::vector<char> local_blocks_;
+  /// See OwnedPool(). Idle workers wait on the pool's condition variable.
+  WARP_BARRIER_ONLY std::unique_ptr<ParallelExecutor> pool_;
 };
 
 }  // namespace warplda

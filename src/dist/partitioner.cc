@@ -19,8 +19,8 @@ std::vector<uint32_t> PartitionStatic(const std::vector<uint64_t>& weights,
 
 std::vector<uint32_t> PartitionDynamic(const std::vector<uint64_t>& weights,
                                        uint32_t p) {
-  // Contiguous chunks cut at equal prefix-sum targets, exactly like
-  // SparseMatrix::ParallelFor balances visit ranges across threads: chunk t
+  // Contiguous chunks cut at equal prefix-sum targets, as WarpLdaSampler
+  // cuts its item-range tasks (at 16 per thread, not one): chunk t
   // starts at the first item whose preceding load reaches total·t/p.
   const uint32_t n = static_cast<uint32_t>(weights.size());
   std::vector<uint64_t> prefix(n + 1, 0);

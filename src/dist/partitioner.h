@@ -21,8 +21,9 @@ enum class PartitionStrategy {
   /// system gets by hashing ids.
   kStatic,
   /// Contiguous ranges split at equal prefix-sum targets — the same scheme
-  /// SparseMatrix::ParallelFor uses to balance threads. Keeps items in order
-  /// (cheap range metadata) but granularity is limited to whole items.
+  /// WarpLdaSampler's item-range tasks use to balance threads. Keeps items
+  /// in order (cheap range metadata) but granularity is limited to whole
+  /// items.
   kDynamic,
   /// Greedy LPT: heaviest item first onto the least-loaded partition.
   /// Near-optimal until a single item outweighs total/P, which no

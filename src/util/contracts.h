@@ -29,6 +29,16 @@
 //     write the member, from any body, hot or not. Use for plans, index
 //     tables and priors that workers read without synchronisation.
 //
+//   WARP_ITEM_OWNED(Body, ...)
+//     WARP_BARRIER_ONLY, with one exception: the listed concurrent bodies
+//     (each must be an *ItemRange task body) may write *elements* in place,
+//     because every task owns whole items — all of a column's or a row's
+//     entries — so no other task reads or writes them before the next
+//     barrier. Container-level changes (a mutating call such as resize,
+//     clear or assign on the member) stay barrier-only even there, and a
+//     listed name with no such body in the class is itself a finding, so
+//     the exemption cannot outlive its code.
+//
 // Annotations are declarations of intent, not wishes — warplint fails the
 // build when the code disagrees. Suppress a deliberate exception with a
 // justified warplint-contract suppression comment (see README, "Static
@@ -40,5 +50,6 @@
 #define WARP_WORKER_LOCAL
 #define WARP_BARRIER_ONLY
 #define WARP_IMMUTABLE_AFTER(...)
+#define WARP_ITEM_OWNED(...)
 
 #endif  // WARP_UTIL_CONTRACTS_H_

@@ -9,7 +9,7 @@ void WarpLdaSampler::RunBlock(uint32_t doc_block, uint32_t word_block,
   }
 }
 
-void WarpLdaSampler::DocPhase() {
+void WarpLdaSampler::SampleRowItemRange(uint32_t worker) {
   std::lock_guard<std::mutex> guard(ck_mutex_);
 }
 

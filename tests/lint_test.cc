@@ -106,7 +106,8 @@ TEST_F(PositiveFixtures, HotpathSyncFiresInsideHotBodiesOnly) {
   EXPECT_EQ(hits[0], "src/core/simd_kernels.cc:7");  // fetch_add in a free
                                                      // kernel function
   EXPECT_EQ(hits[1], "src/core/warp_lda.cc:8");    // fetch_add in RunBlock
-  EXPECT_EQ(hits[2], "src/core/warp_lda.cc:13");   // lock_guard in DocPhase
+  EXPECT_EQ(hits[2], "src/core/warp_lda.cc:13");   // lock_guard in an
+                                                   // *ItemRange task
   EXPECT_EQ(hits[3], "src/core/warp_lda.cc:17");   // lock_guard in
                                                    // RunFusedWordPart
   EXPECT_EQ(hits[4], "src/core/warp_lda.cc:21");   // fetch_add in
@@ -176,7 +177,7 @@ TEST_F(PositiveFixtures, JustifiedSuppressionsAreCountedNotReported) {
 
 TEST_F(PositiveFixtures, ContractFiresOnAllFourViolationShapes) {
   auto hits = FindingsFor(run_->output, "contract");
-  ASSERT_EQ(hits.size(), 5u) << run_->output;
+  ASSERT_EQ(hits.size(), 9u) << run_->output;
   EXPECT_EQ(hits[0], "src/core/contracts_demo.cc:11");  // BARRIER_ONLY write
                                                         // in RunBlock
   EXPECT_EQ(hits[1], "src/core/contracts_demo.cc:12");  // IMMUTABLE_AFTER
@@ -188,6 +189,7 @@ TEST_F(PositiveFixtures, ContractFiresOnAllFourViolationShapes) {
                                                         // a barrier task
   EXPECT_EQ(hits[4], "src/core/contracts_demo.h:22");   // unannotated holder
                                                         // of DemoScratch
+  // hits[5..8] are item_owned.{cc,h}: see ItemOwnedScopesInPlaceWrites.
   EXPECT_NE(run_->output.find("may only be mutated at stage barriers"),
             std::string::npos);
   EXPECT_NE(run_->output.find("only {Init} (and constructors)"),
@@ -195,6 +197,26 @@ TEST_F(PositiveFixtures, ContractFiresOnAllFourViolationShapes) {
   EXPECT_NE(run_->output.find("not indexed by the worker argument"),
             std::string::npos);
   EXPECT_NE(run_->output.find("holds worker-local type 'DemoScratch'"),
+            std::string::npos);
+}
+
+// WARP_ITEM_OWNED: the listed *ItemRange body may write elements in place
+// (item_owned.cc:6 stays quiet), but not the container; an unlisted
+// concurrent body may not write at all; and the list itself must name
+// existing *ItemRange bodies. The negative twin holds the legal shapes.
+TEST_F(PositiveFixtures, ItemOwnedScopesInPlaceWrites) {
+  auto hits = FindingsFor(run_->output, "contract");
+  ASSERT_EQ(hits.size(), 9u) << run_->output;
+  EXPECT_EQ(hits[5], "src/core/item_owned.cc:7");   // z_.resize in the task
+  EXPECT_EQ(hits[6], "src/core/item_owned.cc:11");  // write from RunBlock
+  EXPECT_EQ(hits[7], "src/core/item_owned.h:11");   // stale listed name
+  EXPECT_EQ(hits[8], "src/core/item_owned.h:14");   // lists a non-task body
+  EXPECT_NE(run_->output.find("never the container itself"),
+            std::string::npos);
+  EXPECT_NE(run_->output.find("which does not own whole items"),
+            std::string::npos);
+  EXPECT_NE(run_->output.find("a stale exemption"), std::string::npos);
+  EXPECT_NE(run_->output.find("which is not an *ItemRange task body"),
             std::string::npos);
 }
 
@@ -229,8 +251,9 @@ TEST_F(PositiveFixtures, StaleNolintFiresOnFixedLine) {
 
 TEST(NegativeFixtures, EveryRuleStaysQuiet) {
   // Includes the contract mirrors (worker-indexed scratch, barrier-side
-  // writes, listed-writer mutation, annotated holders), stream-derived Rng
-  // construction, and driven obs handles.
+  // writes, listed-writer mutation, annotated holders, in-place element
+  // writes from a listed item-range body), stream-derived Rng construction,
+  // and driven obs handles.
   LintRun run = RunLint(Negative());
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_NE(run.output.find("0 violation(s)"), std::string::npos)
@@ -251,14 +274,14 @@ TEST(JsonOutput, PositiveSummaryIsMachineReadable) {
             std::string::npos);
   EXPECT_NE(run.output.find("\"warplint-scalar-ref\": 2"),
             std::string::npos);
-  EXPECT_NE(run.output.find("\"warplint-contract\": 5"), std::string::npos);
+  EXPECT_NE(run.output.find("\"warplint-contract\": 9"), std::string::npos);
   EXPECT_NE(run.output.find("\"warplint-rng-stream\": 2"),
             std::string::npos);
   EXPECT_NE(run.output.find("\"warplint-obs-orphan\": 2"),
             std::string::npos);
   EXPECT_NE(run.output.find("\"warplint-stale-nolint\": 1"),
             std::string::npos);
-  EXPECT_NE(run.output.find("\"total\": 38"), std::string::npos)
+  EXPECT_NE(run.output.find("\"total\": 42"), std::string::npos)
       << run.output;
 }
 
@@ -329,7 +352,7 @@ TEST(BaselineMode, KnownFindingsPassOnlyNewOnesFail) {
   LintRun rerun = RunLintCmd("--root '" + Positive() + "' --baseline '" +
                              baseline + "'");
   EXPECT_EQ(rerun.exit_code, 0) << rerun.output;
-  EXPECT_NE(rerun.output.find("0 new violation(s), 38 baselined"),
+  EXPECT_NE(rerun.output.find("0 new violation(s), 42 baselined"),
             std::string::npos)
       << rerun.output;
 
@@ -337,7 +360,7 @@ TEST(BaselineMode, KnownFindingsPassOnlyNewOnesFail) {
   LintRun json = RunLintCmd("--root '" + Positive() + "' --json --baseline '" +
                             baseline + "'");
   EXPECT_EQ(json.exit_code, 0) << json.output;
-  EXPECT_NE(json.output.find("\"baselined\": 38"), std::string::npos)
+  EXPECT_NE(json.output.find("\"baselined\": 42"), std::string::npos)
       << json.output;
   EXPECT_NE(json.output.find("\"total\": 0"), std::string::npos)
       << json.output;

@@ -1,11 +1,12 @@
-// Randomized property tests of the SparseMatrix visit framework: for
-// arbitrary shapes and thread counts, row and column views must expose the
-// same entries, visits must cover every entry exactly once, and the
-// entry-balanced parallel scheduler must neither skip nor duplicate work.
+// Randomized property tests of the SparseMatrix layout: for arbitrary shapes
+// and thread counts, row and column views must expose the same entries, and
+// visits split into entry-balanced item ranges (one thread each, cut at the
+// col_offset / row_offset prefixes) must cover every entry exactly once.
 #include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -51,6 +52,43 @@ SparseMatrix<int64_t> RandomMatrix(const MatrixShape& shape,
   return m;
 }
 
+// Runs fn(item) for every item in [0, n), split into `threads` contiguous
+// ranges of about equal entry count (offset(i) = entries before item i),
+// each range on its own thread.
+template <typename Offset, typename Fn>
+void VisitRanges(uint32_t n, uint32_t threads, const Offset& offset,
+                 const Fn& fn) {
+  std::vector<uint32_t> bounds(threads + 1, n);
+  bounds[0] = 0;
+  uint32_t cursor = 0;
+  for (uint32_t t = 1; t < threads; ++t) {
+    const uint64_t target = offset(n) * t / threads;
+    while (cursor < n && offset(cursor) < target) ++cursor;
+    bounds[t] = cursor;
+  }
+  std::vector<std::thread> pool;
+  for (uint32_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      for (uint32_t i = bounds[t]; i < bounds[t + 1]; ++i) fn(i);
+    });
+  }
+  for (auto& th : pool) th.join();
+}
+
+template <typename Fn>
+void VisitColumns(SparseMatrix<int64_t>& m, uint32_t threads, const Fn& fn) {
+  VisitRanges(
+      m.num_cols(), threads, [&](uint32_t c) { return m.col_offset(c); },
+      [&](uint32_t c) { fn(c, m.col_data(c)); });
+}
+
+template <typename Fn>
+void VisitRows(SparseMatrix<int64_t>& m, uint32_t threads, const Fn& fn) {
+  VisitRanges(
+      m.num_rows(), threads, [&](uint32_t r) { return m.row_offset(r); },
+      [&](uint32_t r) { fn(r, m.row(r)); });
+}
+
 class SparseMatrixPropertyTest
     : public ::testing::TestWithParam<MatrixShape> {};
 
@@ -58,11 +96,10 @@ TEST_P(SparseMatrixPropertyTest, ColumnVisitCoversEachEntryOnce) {
   std::vector<std::pair<uint32_t, uint32_t>> positions;
   auto m = RandomMatrix(GetParam(), &positions);
   std::vector<std::atomic<int>> seen(GetParam().entries);
-  m.VisitByColumn(
-      [&](int, uint32_t, std::span<int64_t> data) {
-        for (int64_t v : data) seen[static_cast<size_t>(v)]++;
-      },
-      GetParam().threads);
+  VisitColumns(m, GetParam().threads,
+               [&](uint32_t, std::span<int64_t> data) {
+                 for (int64_t v : data) seen[static_cast<size_t>(v)]++;
+               });
   for (const auto& count : seen) EXPECT_EQ(count.load(), 1);
 }
 
@@ -70,20 +107,19 @@ TEST_P(SparseMatrixPropertyTest, RowVisitCoversEachEntryOnce) {
   std::vector<std::pair<uint32_t, uint32_t>> positions;
   auto m = RandomMatrix(GetParam(), &positions);
   std::vector<std::atomic<int>> seen(GetParam().entries);
-  m.VisitByRow(
-      [&](int, uint32_t, SparseMatrix<int64_t>::RowView row) {
-        for (uint32_t i = 0; i < row.size(); ++i) {
-          seen[static_cast<size_t>(row[i])]++;
-        }
-      },
-      GetParam().threads);
+  VisitRows(m, GetParam().threads,
+            [&](uint32_t, SparseMatrix<int64_t>::RowView row) {
+              for (uint32_t i = 0; i < row.size(); ++i) {
+                seen[static_cast<size_t>(row[i])]++;
+              }
+            });
   for (const auto& count : seen) EXPECT_EQ(count.load(), 1);
 }
 
 TEST_P(SparseMatrixPropertyTest, RowViewMatchesInsertedPositions) {
   std::vector<std::pair<uint32_t, uint32_t>> positions;
   auto m = RandomMatrix(GetParam(), &positions);
-  m.VisitByRow([&](int, uint32_t r, SparseMatrix<int64_t>::RowView row) {
+  VisitRows(m, 1, [&](uint32_t r, SparseMatrix<int64_t>::RowView row) {
     for (uint32_t i = 0; i < row.size(); ++i) {
       int64_t insertion = row[i];
       EXPECT_EQ(positions[static_cast<size_t>(insertion)].first, r);
@@ -94,7 +130,7 @@ TEST_P(SparseMatrixPropertyTest, RowViewMatchesInsertedPositions) {
 TEST_P(SparseMatrixPropertyTest, ColumnsSortedByRow) {
   std::vector<std::pair<uint32_t, uint32_t>> positions;
   auto m = RandomMatrix(GetParam(), &positions);
-  m.VisitByColumn([&](int, uint32_t c, std::span<int64_t> data) {
+  VisitColumns(m, 1, [&](uint32_t c, std::span<int64_t> data) {
     uint32_t prev_row = 0;
     for (size_t i = 0; i < data.size(); ++i) {
       const auto& pos = positions[static_cast<size_t>(data[i])];
@@ -118,23 +154,21 @@ TEST_P(SparseMatrixPropertyTest, CscPositionRoundTrips) {
 TEST_P(SparseMatrixPropertyTest, MutationsVisibleAcrossOrientations) {
   std::vector<std::pair<uint32_t, uint32_t>> positions;
   auto m = RandomMatrix(GetParam(), &positions);
-  m.VisitByColumn(
-      [&](int, uint32_t, std::span<int64_t> data) {
-        for (auto& v : data) v = -v - 1;
-      },
-      GetParam().threads);
+  VisitColumns(m, GetParam().threads,
+               [&](uint32_t, std::span<int64_t> data) {
+                 for (auto& v : data) v = -v - 1;
+               });
   int64_t expected = 0;
   for (uint32_t i = 0; i < GetParam().entries; ++i) {
     expected += -static_cast<int64_t>(i) - 1;
   }
   std::atomic<int64_t> total{0};
-  m.VisitByRow(
-      [&](int, uint32_t, SparseMatrix<int64_t>::RowView row) {
-        int64_t local = 0;
-        for (uint32_t i = 0; i < row.size(); ++i) local += row[i];
-        total += local;
-      },
-      GetParam().threads);
+  VisitRows(m, GetParam().threads,
+            [&](uint32_t, SparseMatrix<int64_t>::RowView row) {
+              int64_t local = 0;
+              for (uint32_t i = 0; i < row.size(); ++i) local += row[i];
+              total += local;
+            });
   EXPECT_EQ(total.load(), expected);
 }
 

@@ -1,6 +1,5 @@
 #include "core/sparse_matrix.h"
 
-#include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -96,69 +95,69 @@ TEST(SparseMatrixTest, MultipleEntriesPerCell) {
   EXPECT_EQ(col[0] + col[1], 3);
 }
 
-TEST(SparseMatrixTest, VisitByColumnCoversEveryEntryOnce) {
+TEST(SparseMatrixTest, ColumnDataCoversEveryEntryOnce) {
   auto m = MakeMatrix();
   int sum = 0;
-  m.VisitByColumn([&](int, uint32_t, std::span<int> data) {
+  for (uint32_t c = 0; c < m.num_cols(); ++c) {
+    auto data = m.col_data(c);
     sum = std::accumulate(data.begin(), data.end(), sum);
-  });
+  }
   EXPECT_EQ(sum, 10 + 11 + 12 + 13 + 14 + 15);
 }
 
-TEST(SparseMatrixTest, VisitByRowCoversEveryEntryOnce) {
+TEST(SparseMatrixTest, RowsCoverEveryEntryOnce) {
   auto m = MakeMatrix();
   int sum = 0;
-  m.VisitByRow([&](int, uint32_t, SparseMatrix<int>::RowView row) {
+  for (uint32_t r = 0; r < m.num_rows(); ++r) {
+    auto row = m.row(r);
     for (uint32_t i = 0; i < row.size(); ++i) sum += row[i];
-  });
+  }
   EXPECT_EQ(sum, 75);
 }
 
 TEST(SparseMatrixTest, AlternatingVisitsSeeEachOthersWrites) {
   auto m = MakeMatrix();
-  m.VisitByColumn([&](int, uint32_t, std::span<int> data) {
-    for (auto& v : data) v += 1;
-  });
-  m.VisitByRow([&](int, uint32_t, SparseMatrix<int>::RowView row) {
+  for (uint32_t c = 0; c < m.num_cols(); ++c) {
+    for (auto& v : m.col_data(c)) v += 1;
+  }
+  for (uint32_t r = 0; r < m.num_rows(); ++r) {
+    auto row = m.row(r);
     for (uint32_t i = 0; i < row.size(); ++i) row[i] *= 2;
-  });
+  }
   int sum = 0;
-  m.VisitByColumn([&](int, uint32_t, std::span<int> data) {
+  for (uint32_t c = 0; c < m.num_cols(); ++c) {
+    auto data = m.col_data(c);
     sum = std::accumulate(data.begin(), data.end(), sum);
-  });
+  }
   EXPECT_EQ(sum, (75 + 6) * 2);
 }
 
-TEST(SparseMatrixTest, ParallelVisitMatchesSerial) {
+TEST(SparseMatrixTest, OffsetsArePrefixSumsOfItemSizes) {
   SparseMatrix<int> m;
   const uint32_t rows = 64;
   const uint32_t cols = 32;
   m.Reset(rows, cols);
-  int expected = 0;
   for (uint32_t r = 0; r < rows; ++r) {
     for (uint32_t c = r % 3; c < cols; c += 3) {
       m.AddEntry(r, c, static_cast<int>(r + c));
-      expected += static_cast<int>(r + c);
     }
   }
   m.Finalize();
-  std::atomic<int> sum{0};
-  m.VisitByColumn(
-      [&](int, uint32_t, std::span<int> data) {
-        int local = std::accumulate(data.begin(), data.end(), 0);
-        sum += local;
-      },
-      4);
-  EXPECT_EQ(sum.load(), expected);
-  sum = 0;
-  m.VisitByRow(
-      [&](int, uint32_t, SparseMatrix<int>::RowView row) {
-        int local = 0;
-        for (uint32_t i = 0; i < row.size(); ++i) local += row[i];
-        sum += local;
-      },
-      4);
-  EXPECT_EQ(sum.load(), expected);
+  EXPECT_EQ(m.col_offset(0), 0u);
+  EXPECT_EQ(m.row_offset(0), 0u);
+  for (uint32_t c = 0; c < cols; ++c) {
+    EXPECT_EQ(m.col_offset(c + 1) - m.col_offset(c), m.col_data(c).size());
+  }
+  for (uint32_t r = 0; r < rows; ++r) {
+    auto row = m.row(r);
+    EXPECT_EQ(m.row_offset(r + 1) - m.row_offset(r), row.size());
+    for (uint32_t i = 0; i < row.size(); ++i) {
+      EXPECT_EQ(row.entries()[i], row.entry_index(i));
+      EXPECT_EQ(m.csc_position(m.row_offset(r) + i), row.entry_index(i));
+    }
+  }
+  EXPECT_EQ(m.col_offset(cols), m.num_entries());
+  EXPECT_EQ(m.row_offset(rows), m.num_entries());
 }
 
 TEST(SparseMatrixTest, EmptyRowsAndColumns) {

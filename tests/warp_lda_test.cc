@@ -107,16 +107,6 @@ TEST(WarpLdaTest, MultithreadedRunIsValidAndConverges) {
   EXPECT_GT(trained, initial);
 }
 
-TEST(WarpLdaTest, WordPhaseAlonePreservesTokenCount) {
-  Corpus corpus = TestCorpus();
-  WarpLdaSampler sampler;
-  sampler.Init(corpus, LdaConfig::PaperDefaults(8));
-  sampler.WordPhase();
-  EXPECT_EQ(sampler.Assignments().size(), corpus.num_tokens());
-  sampler.DocPhase();
-  EXPECT_EQ(sampler.Assignments().size(), corpus.num_tokens());
-}
-
 TEST(WarpLdaTest, UsesMultipleTopicsAfterTraining) {
   Corpus corpus = TestCorpus();
   WarpLdaSampler sampler;

@@ -163,6 +163,11 @@ bool StartsWith(const std::string& s, const std::string& p) {
   return s.rfind(p, 0) == 0;
 }
 
+bool EndsWith(const std::string& s, const std::string& p) {
+  return s.size() >= p.size() &&
+         s.compare(s.size() - p.size(), p.size(), p) == 0;
+}
+
 std::string LayerOf(const std::string& rel) {
   if (!StartsWith(rel, "src/")) return "";
   size_t slash = rel.find('/', 4);
@@ -369,14 +374,14 @@ bool IsHotFunction(const std::string& name) {
   if (name.find("Block") != std::string::npos) return true;
   // Fused span parts, the batched accept kernel and its helpers run inside
   // RunBlock on every token; the Derive/ComputeAccept kernels are the SIMD
-  // inner loops themselves.
+  // inner loops themselves; *ItemRange bodies are Iterate()'s per-token
+  // passes and the barrier builds, run as pool tasks.
   if (name.find("Part") != std::string::npos) return true;
   if (name.find("Segment") != std::string::npos) return true;
+  if (EndsWith(name, "ItemRange")) return true;
   if (StartsWith(name, "Derive") || StartsWith(name, "ComputeAccept"))
     return true;
-  if (name == "Iterate" || name == "WordPhase" || name == "DocPhase" ||
-      name == "AcceptChain")
-    return true;
+  if (name == "Iterate" || name == "AcceptChain") return true;
   if (StartsWith(name, "Draw") || StartsWith(name, "Sample")) return true;
   return false;
 }
@@ -384,11 +389,9 @@ bool IsHotFunction(const std::string& name) {
 bool IsContractHotBody(const std::string& name) {
   if (name == "RunBlock" || name == "RunBlockCaptured" || name == "RunTasks")
     return true;
-  // Barrier tasks: span-barrier builds split into item ranges that run
-  // concurrently on the executor pool (WarpLdaSampler::*ItemRange).
-  if (name.size() > 9 &&
-      name.compare(name.size() - 9, 9, "ItemRange") == 0)
-    return true;
+  // Item-range tasks, run concurrently on an executor pool: span-barrier
+  // builds and Iterate()'s whole-item passes (WarpLdaSampler::*ItemRange).
+  if (EndsWith(name, "ItemRange") && name.size() > 9) return true;
   if (StartsWith(name, "Run") && name.size() >= 4 &&
       name.compare(name.size() - 4, 4, "Part") == 0)
     return true;
@@ -493,6 +496,11 @@ size_t ParseMemberAnnotations(const std::string& stmt, Contract* contract,
     }
     if (w == "WARP_IMMUTABLE_AFTER") {
       *contract = Contract::kImmutableAfter;
+      *writers = ParseParenArgs(stmt, &i);
+      continue;
+    }
+    if (w == "WARP_ITEM_OWNED") {
+      *contract = Contract::kItemOwned;
       *writers = ParseParenArgs(stmt, &i);
       continue;
     }
@@ -728,13 +736,38 @@ std::vector<ClassDef> CollectClasses(const SourceFile& f) {
   return out;
 }
 
-bool IsWriteAccess(const std::string& line, size_t begin, size_t end) {
-  static const std::set<std::string> kMutatingCalls = {
+namespace {
+
+// Member functions that change a container (or atomic, or smart pointer)
+// itself rather than returning a reference into it.
+const std::set<std::string>& MutatingCalls() {
+  static const std::set<std::string> calls = {
       "push_back", "emplace_back", "pop_back", "clear",  "resize",
       "reserve",   "assign",       "insert",   "erase",  "swap",
       "fill",      "emplace",      "shrink_to_fit",      "store",
       "reset",
   };
+  return calls;
+}
+
+// Advances *k past the balanced (...) group starting at line[*k] == '('.
+// False when the group does not close on this line.
+bool SkipParenGroup(const std::string& line, size_t* k) {
+  int depth = 0;
+  for (size_t j = *k; j < line.size(); ++j) {
+    if (line[j] == '(') ++depth;
+    if (line[j] == ')' && --depth == 0) {
+      *k = j + 1;
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+bool IsWriteAccess(const std::string& line, size_t begin, size_t end) {
+  const std::set<std::string>& kMutatingCalls = MutatingCalls();
   // Prefix ++/--.
   size_t b = begin;
   while (b > 0 && line[b - 1] == ' ') --b;
@@ -784,13 +817,31 @@ bool IsWriteAccess(const std::string& line, size_t begin, size_t end) {
       size_t k = j;
       while (k < n && line[k] == ' ') ++k;
       if (k < n && line[k] == '(') {
-        return kMutatingCalls.count(m) > 0;
+        if (kMutatingCalls.count(m) > 0) return true;
+        // An accessor returning a reference: `m_.entry_data(p) = x` still
+        // mutates m_, so skip the call and keep looking right.
+        if (!SkipParenGroup(line, &k)) return false;
+        j = k;
       }
       continue;  // dotted field: an assignment further right still mutates
     }
     return false;
   }
   return false;
+}
+
+bool IsElementWrite(const std::string& line, size_t end) {
+  size_t j = end;
+  while (j < line.size() && line[j] == ' ') ++j;
+  if (j < line.size() && line[j] == '[') return true;
+  if (j >= line.size() || line[j] != '.') return false;
+  ++j;
+  while (j < line.size() && line[j] == ' ') ++j;
+  const size_t wb = j;
+  while (j < line.size() && IsIdent(line[j])) ++j;
+  while (j < line.size() && line[j] == ' ') ++j;
+  return j < line.size() && line[j] == '(' &&
+         MutatingCalls().count(line.substr(wb, j - wb)) == 0;
 }
 
 }  // namespace warplint

@@ -77,6 +77,7 @@ bool HasWord(const std::string& text, const std::string& word,
              size_t* at = nullptr);
 std::string Trim(std::string s);
 bool StartsWith(const std::string& s, const std::string& p);
+bool EndsWith(const std::string& s, const std::string& p);
 // The layer is the first path component under src/ ("src/core/x.h" ->
 // "core"); empty for files outside src/.
 std::string LayerOf(const std::string& rel);
@@ -104,29 +105,37 @@ std::vector<BodyRange> ExtractMethodBodies(const SourceFile& f);
 std::vector<BodyRange> ExtractFreeFunctionBodies(const SourceFile& f);
 
 // Broad hot-path predicate used by warplint-hotpath-sync (anything that can
-// run inside a sweep's token loops, including the fused serial phases).
+// run inside a sweep's token loops: block bodies, span parts, *ItemRange
+// tasks, the kernels, and Iterate() itself).
 bool IsHotFunction(const std::string& name);
 
-// Tight concurrent-grid-body predicate used by the contract and rng-stream
-// passes: only bodies that run on worker threads *between* stage barriers,
-// where writes to shared state are races by construction, plus the
-// barrier tasks (*ItemRange) that split span-barrier builds into item
-// ranges run concurrently on the executor pool. Deliberately
-// excludes WordPhase/DocPhase/Iterate (serial fused path, direct count
-// updates are legal there) and barrier-side helpers like ApplyStagedMoves /
+// Tight concurrent-body predicate used by the contract and rng-stream
+// passes: only bodies that run on worker threads *between* barriers, where
+// writes to shared state are races by construction — grid block bodies and
+// every *ItemRange task (span-barrier builds and Iterate()'s whole-item
+// passes, run as item ranges on an executor pool). Deliberately excludes
+// drivers that run on the calling thread between passes (Iterate,
+// BeginSweep, EndStage) and barrier-side helpers like ApplyStagedMoves /
 // ApplyBlockDelta, and is substring-safe (PartitionStatic is not "hot").
 bool IsContractHotBody(const std::string& name);
 
 // ------------------------------------------------------------ class model ---
 
-enum class Contract { kNone, kWorkerLocal, kBarrierOnly, kImmutableAfter };
+enum class Contract {
+  kNone,
+  kWorkerLocal,
+  kBarrierOnly,
+  kImmutableAfter,
+  kItemOwned,
+};
 
 struct FieldDecl {
   std::string type;  // declaration text before the name, spaces collapsed
   std::string name;
   size_t line = 0;   // 1-based declaration line
   Contract contract = Contract::kNone;
-  std::vector<std::string> writers;  // WARP_IMMUTABLE_AFTER(...) method list
+  // WARP_IMMUTABLE_AFTER(...) / WARP_ITEM_OWNED(...) method list
+  std::vector<std::string> writers;
 };
 
 struct ClassDef {
@@ -148,9 +157,17 @@ std::vector<ClassDef> CollectClasses(const SourceFile& f);
 // True if the access that starts where the member token ends mutates the
 // member: assignment (including op=), ++/-- (either side), a mutating
 // member-function call (push_back/assign/resize/...), or an assignment
-// reached through a dotted field chain (`cfg_.alpha = x` mutates cfg_).
+// reached through a dotted field chain (`cfg_.alpha = x` mutates cfg_) or
+// through a reference-returning call (`m_.entry_data(p) = x` mutates m_).
 // `begin`/`end` delimit the member token inside `line` (scrubbed).
 bool IsWriteAccess(const std::string& line, size_t begin, size_t end);
+
+// For a write found by IsWriteAccess: true when it lands on an element of
+// the member — through a subscript (`m_[i] = x`) or a reference-returning
+// accessor (`m_.entry_data(p) = x`) — rather than on the member itself (a
+// mutating container call such as resize/clear/assign, or a whole-member
+// assignment). `end` is where the member token ends in `line`.
+bool IsElementWrite(const std::string& line, size_t end);
 
 }  // namespace warplint
 

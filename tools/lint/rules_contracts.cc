@@ -1,6 +1,6 @@
 // Rule family 1: machine-checked concurrency contracts (warplint-contract).
 //
-// src/util/contracts.h defines three no-op annotation macros; this pass
+// src/util/contracts.h defines four no-op annotation macros; this pass
 // turns them into checks over the class model:
 //
 //   WARP_WORKER_LOCAL       on a member: in concurrent grid bodies
@@ -16,6 +16,13 @@
 //                           methods (plus constructors) may write it, in
 //                           any body, hot or not. On a struct the contract
 //                           applies to every field.
+//   WARP_ITEM_OWNED(B, ...) barrier-only, except that the listed *ItemRange
+//                           bodies — whose tasks own whole items — may
+//                           write elements in place (`m_[i] = x`,
+//                           `m_.entry_data(p) = x`), never the container.
+//                           Each listed name must be an *ItemRange body of
+//                           the class, so a renamed or deleted body cannot
+//                           leave its exemption behind.
 //
 // Writes are detected through the owning class's own method bodies (bare
 // `member` / `this->member`) and through *known instance paths*: if class D
@@ -30,6 +37,7 @@
 // inline method bodies (repo style keeps definitions in .cc files).
 
 #include <map>
+#include <set>
 
 #include "lint_rules.h"
 
@@ -42,6 +50,7 @@ const char* ContractName(Contract c) {
     case Contract::kWorkerLocal: return "WARP_WORKER_LOCAL";
     case Contract::kBarrierOnly: return "WARP_BARRIER_ONLY";
     case Contract::kImmutableAfter: return "WARP_IMMUTABLE_AFTER";
+    case Contract::kItemOwned: return "WARP_ITEM_OWNED";
     default: return "";
   }
 }
@@ -57,6 +66,15 @@ struct Enforcement {
   const ClassDef* cls = nullptr;
   const FieldDecl* field = nullptr;
 };
+
+std::string Joined(const std::vector<std::string>& names) {
+  std::string out;
+  for (const std::string& n : names) {
+    if (!out.empty()) out += ", ";
+    out += n;
+  }
+  return out;
+}
 
 bool ListedWriter(const std::string& body, const std::vector<std::string>& w) {
   for (const std::string& m : w) {
@@ -158,8 +176,38 @@ void CheckContracts(const std::vector<SourceFile>& files,
   }
   if (by_ctx.empty()) return;
 
+  std::map<std::string, std::vector<BodyRange>> bodies_of;  // per file
+  std::set<std::string> method_names;  // "Class::Method" with a body
   for (const SourceFile& f : files) {
-    std::vector<BodyRange> bodies = ExtractMethodBodies(f);
+    bodies_of[f.rel] = ExtractMethodBodies(f);
+    for (const BodyRange& b : bodies_of[f.rel]) {
+      method_names.insert(b.cls + "::" + b.name);
+    }
+  }
+
+  // (e) a WARP_ITEM_OWNED exemption names existing item-range bodies only.
+  for (const ClassDef& c : model.classes) {
+    for (const FieldDecl& fd : c.fields) {
+      if (fd.contract != Contract::kItemOwned) continue;
+      for (const std::string& w : fd.writers) {
+        std::string why;
+        if (!EndsWith(w, "ItemRange")) {
+          why = "which is not an *ItemRange task body — only a task that "
+                "owns whole items may write in place";
+        } else if (method_names.count(c.name + "::" + w) == 0) {
+          why = "but " + c.name + " has no such body — a stale exemption";
+        }
+        if (why.empty()) continue;
+        out->push_back({c.file, fd.line, "contract",
+                        "WARP_ITEM_OWNED on '" + fd.name + "' lists '" + w +
+                            "', " + why,
+                        false});
+      }
+    }
+  }
+
+  for (const SourceFile& f : files) {
+    const std::vector<BodyRange>& bodies = bodies_of[f.rel];
     for (const BodyRange& b : bodies) {
       auto it = by_ctx.find(b.cls);
       if (it == by_ctx.end()) continue;
@@ -224,20 +272,33 @@ void CheckContracts(const std::vector<SourceFile>& files,
                          "apply it in EndStage/ApplyStagedMoves)",
                      false});
               }
+              if (e.field->contract == Contract::kItemOwned && hot) {
+                std::string why;
+                if (!ListedWriter(b.name, e.field->writers)) {
+                  why = "inside concurrent body '" + b.name +
+                        "', which does not own whole items — only {" +
+                        Joined(e.field->writers) + "} may write it in place";
+                } else if (!IsElementWrite(s, end)) {
+                  why = "changes the container in '" + b.name +
+                        "' — an item-owning task may write its items' "
+                        "elements, never the container itself";
+                }
+                if (!why.empty()) {
+                  out->push_back({f.rel, ln, "contract",
+                                  "write to WARP_ITEM_OWNED '" + shown +
+                                      "' " + why,
+                                  false});
+                }
+              }
               if (e.field->contract == Contract::kImmutableAfter &&
                   b.name != b.cls &&
                   !ListedWriter(b.name, e.field->writers)) {
-                std::string allowed;
-                for (const std::string& w : e.field->writers) {
-                  if (!allowed.empty()) allowed += ", ";
-                  allowed += w;
-                }
                 out->push_back(
                     {f.rel, ln, "contract",
                      "write to " + std::string(ContractName(
                                        Contract::kImmutableAfter)) +
                          " '" + shown + "' in '" + b.name +
-                         "' — only {" + allowed +
+                         "' — only {" + Joined(e.field->writers) +
                          "} (and constructors) may mutate it",
                      false});
               }
