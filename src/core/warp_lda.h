@@ -273,9 +273,9 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// that the SoA scratch stays L1-resident.
   static constexpr uint32_t kAcceptChunk = 256;
 
-  /// Item ranges per pool thread for barrier-side builds: enough that
-  /// dynamic claiming evens out per-range cost skew, few enough that the
-  /// per-task handshake stays negligible.
+  /// Item ranges per pool thread for barrier builds and Iterate() passes:
+  /// enough that dynamic claiming evens out per-range cost skew, few enough
+  /// that the per-task handshake stays negligible.
   static constexpr uint32_t kItemChunksPerThread = 16;
 
   /// Per-phase base of the token RNG streams. Hashed once when a phase (or
