@@ -53,6 +53,8 @@ WarpLdaSampler::WarpLdaSampler(const WarpLdaOptions& options)
     : options_(options) {}
 
 WarpLdaSampler::~WarpLdaSampler() = default;
+WarpLdaSampler::WarpLdaSampler(WarpLdaSampler&&) = default;
+WarpLdaSampler& WarpLdaSampler::operator=(WarpLdaSampler&&) = default;
 
 void WarpLdaSampler::Init(const Corpus& corpus, const LdaConfig& config) {
   corpus_ = &corpus;
@@ -333,8 +335,8 @@ void WarpLdaSampler::RedrawDocProposals() {
 }
 
 void WarpLdaSampler::SampleColumnItemRange(ThreadScratch& s, uint32_t begin,
-                                           uint32_t end, uint64_t stream_base,
-                                           bool write_z) {
+                                           uint32_t end,
+                                           uint64_t stream_base) {
   const double beta = config_.beta;
   for (WordId w = begin; w < end; ++w) {
     const std::span<const TopicId> z = matrix_.col_data(w);
@@ -356,12 +358,9 @@ void WarpLdaSampler::SampleColumnItemRange(ThreadScratch& s, uint32_t begin,
     // moves' endpoints (an intermediate chain hop nets out) instead of
     // rescanning the column.
     for (size_t i = moves_before; i < s.staged_moves.size(); ++i) {
-      const StagedMove& mv = s.staged_moves[i];
-      s.counts.Dec(mv.from);
-      s.counts.Inc(mv.to);
-      if (write_z) matrix_.entry_data(mv.pos) = mv.to;
+      s.counts.Dec(s.staged_moves[i].from);
+      s.counts.Inc(s.staged_moves[i].to);
     }
-    if (write_z) s.staged_moves.resize(moves_before);
     BuildAliasInto(s, s.counts, s.alias);
     DrawWordProposalsForSegment(s, s.positions.data(), n, s.alias, n,
                                 stream_base);
@@ -371,7 +370,7 @@ void WarpLdaSampler::SampleColumnItemRange(ThreadScratch& s, uint32_t begin,
 
 void WarpLdaSampler::SampleRowItemRange(ThreadScratch& s, uint32_t begin,
                                         uint32_t end, uint64_t stream_base,
-                                        bool propose, bool write_z) {
+                                        bool propose) {
   const std::vector<double>* alpha_vec =
       config_.alpha_vector.empty() ? nullptr : &config_.alpha_vector;
   const double alpha = config_.alpha;
@@ -387,20 +386,29 @@ void WarpLdaSampler::SampleRowItemRange(ThreadScratch& s, uint32_t begin,
     // Accept the pending word proposals (Eq. 7, π^word); the row's
     // post-accept topics land in local_row for the propose half.
     if (propose && s.local_row.size() < n) s.local_row.resize(n);
-    const size_t moves_before = s.staged_moves.size();
     AcceptSegment(s, s.counts, row.entries(), n, alpha_vec, alpha,
                   stream_base, d, propose ? s.local_row.data() : nullptr);
-    if (write_z) {
-      for (size_t i = moves_before; i < s.staged_moves.size(); ++i) {
-        matrix_.entry_data(s.staged_moves[i].pos) = s.staged_moves[i].to;
-      }
-      s.staged_moves.resize(moves_before);
-    }
     if (propose) {
       DrawDocProposalsForSegment(s, row.entries(), n, s.local_row.data(), n,
                                  stream_base);
     }
     TraceScopeEnd();
+  }
+}
+
+void WarpLdaSampler::SampleOwnedItemRange(ThreadScratch& s, bool word_axis,
+                                          uint32_t begin, uint32_t end,
+                                          uint64_t stream_base) {
+  for (uint32_t item = begin; item < end; ++item) {
+    if (word_axis) {
+      SampleColumnItemRange(s, item, item + 1, stream_base);
+    } else {
+      SampleRowItemRange(s, item, item + 1, stream_base, /*propose=*/true);
+    }
+    for (const StagedMove& mv : s.staged_moves) {
+      matrix_.entry_data(mv.pos) = mv.to;
+    }
+    s.staged_moves.clear();
   }
 }
 
@@ -425,8 +433,8 @@ void WarpLdaSampler::Iterate() {
       pool, corpus_->num_words(),
       [&](uint32_t w) { return matrix_.col_offset(w); },
       [&](uint32_t worker, uint32_t begin, uint32_t end) {
-        SampleColumnItemRange(scratch_[worker], begin, end, base_word,
-                              /*write_z=*/true);
+        SampleOwnedItemRange(scratch_[worker], /*word_axis=*/true, begin,
+                             end, base_word);
       });
   FoldCkDeltas();
 
@@ -435,8 +443,8 @@ void WarpLdaSampler::Iterate() {
       pool, corpus_->num_docs(),
       [&](uint32_t d) { return matrix_.row_offset(d); },
       [&](uint32_t worker, uint32_t begin, uint32_t end) {
-        SampleRowItemRange(scratch_[worker], begin, end, base_doc,
-                           /*propose=*/true, /*write_z=*/true);
+        SampleOwnedItemRange(scratch_[worker], /*word_axis=*/false, begin,
+                             end, base_doc);
       });
   FoldCkDeltas();
   FlushScratchMetrics();
@@ -469,8 +477,8 @@ void WarpLdaSampler::Iterate() {
 //    patched locally (ThreadScratch::local_row) before the barrier.
 // Fusion never changes the samples — only which barriers exist. Where a
 // span's segments are whole items (cols_ok for [wa, wp], rows_ok for any
-// doc-accept) the blocks run Iterate()'s whole-item bodies with z staged,
-// and c_w/c_d stream through the worker's HashCount instead of an arena.
+// doc-accept) the blocks run the whole-item bodies Iterate() runs, and
+// c_w/c_d stream through the worker's HashCount instead of an arena.
 
 void WarpLdaSampler::ReserveWorkers(uint32_t num_workers) {
   if (corpus_ == nullptr) {
@@ -1003,8 +1011,7 @@ void WarpLdaSampler::RunFusedWordPart(uint32_t doc_block, uint32_t word_block,
                         grid_.plan.num_word_blocks +
                     word_block];
   for (const BlockSegment& seg : ix.segments) {
-    SampleColumnItemRange(s, seg.item, seg.item + 1, grid_.base_word,
-                          /*write_z=*/false);
+    SampleColumnItemRange(s, seg.item, seg.item + 1, grid_.base_word);
   }
 }
 
@@ -1039,7 +1046,7 @@ void WarpLdaSampler::RunDocAcceptPart(uint32_t doc_block, uint32_t word_block,
       // streams c_d and, in a [da, dp] span, positions the proposals into
       // the row's post-acceptance topics before the barrier publishes them.
       SampleRowItemRange(s, seg.item, seg.item + 1, grid_.base_doc,
-                         fused_propose, /*write_z=*/false);
+                         fused_propose);
       continue;
     }
     AcceptSegment(s, row_counts_.view(seg.item), &ix.positions[seg.begin],

@@ -85,6 +85,9 @@ class WarpLdaSampler : public Sampler, public GridSampler {
  public:
   explicit WarpLdaSampler(const WarpLdaOptions& options = {});
   ~WarpLdaSampler() override;
+  /// Movable, not copyable: the sampler owns its thread pool.
+  WarpLdaSampler(WarpLdaSampler&&);
+  WarpLdaSampler& operator=(WarpLdaSampler&&);
 
   void Init(const Corpus& corpus, const LdaConfig& config) override;
   void Iterate() override;
@@ -187,8 +190,8 @@ class WarpLdaSampler : public Sampler, public GridSampler {
     std::vector<int64_t> ck_delta;
     std::vector<std::pair<uint32_t, double>> alias_entries;
     /// Deferred z writes of the current grid stage; applied (and count-arena
-    /// patched) at the EndStage barrier. Iterate()'s whole-item bodies use it
-    /// for one item's moves at a time and write them in place.
+    /// patched) at the EndStage barrier. Iterate()'s SampleOwnedItemRange
+    /// holds one item's moves here at a time and writes them in place.
     std::vector<StagedMove> staged_moves;
     /// CSC positions of the column SampleColumnItemRange is working on.
     std::vector<uint64_t> positions;
@@ -440,8 +443,8 @@ class WarpLdaSampler : public Sampler, public GridSampler {
                               uint32_t begin, uint32_t end);
 
   /// The whole-item bodies, shared by Iterate() and the grid spans whose
-  /// segments are whole items. Each runs under one task that owns its items
-  /// outright, using `s` alone.
+  /// segments are whole items. Each uses `s` alone and stages its accepted
+  /// topics in s.staged_moves; z is never written here.
   ///
   /// SampleColumnItemRange: [word-accept, word-propose] over columns
   /// [begin, end) — c_w streamed through s.counts, the batched accept,
@@ -449,14 +452,18 @@ class WarpLdaSampler : public Sampler, public GridSampler {
   /// SampleRowItemRange: doc-accept over rows [begin, end) with c_d
   /// streamed through s.counts, then (when `propose`) the doc proposals
   /// positioned into the row's post-accept topics.
-  ///
-  /// With `write_z` the accepted topics are written to z in place — legal
-  /// only when no other task reads these items' z before the next barrier,
-  /// which is Iterate()'s case; the grid leaves them staged for EndStage.
   void SampleColumnItemRange(ThreadScratch& s, uint32_t begin, uint32_t end,
-                             uint64_t stream_base, bool write_z);
+                             uint64_t stream_base);
   void SampleRowItemRange(ThreadScratch& s, uint32_t begin, uint32_t end,
-                          uint64_t stream_base, bool propose, bool write_z);
+                          uint64_t stream_base, bool propose);
+  /// Iterate()'s task body: the whole-column (`word_axis`) or whole-row
+  /// body above over items [begin, end), one item at a time, each item's
+  /// staged moves written to z in place and dropped before the next — so
+  /// staging never holds more than one item. Legal because the task owns
+  /// every entry of its items and nothing else reads them before the
+  /// pass-end barrier; grid blocks stage instead and never call it.
+  void SampleOwnedItemRange(ThreadScratch& s, bool word_axis, uint32_t begin,
+                            uint32_t end, uint64_t stream_base);
 
   /// Grid block bodies, one per (span pattern, axis). Concurrency-safe
   /// across distinct blocks: they read shared *immutable* span state, write
@@ -489,9 +496,9 @@ class WarpLdaSampler : public Sampler, public GridSampler {
 
   /// z in CSC order. Shared-read during grid stages; mutations are staged in
   /// ThreadScratch::staged_moves and applied under the EndStage barrier —
-  /// except in the whole-item bodies, whose task owns every entry of its
-  /// columns or rows and may write them in place.
-  WARP_ITEM_OWNED(SampleColumnItemRange, SampleRowItemRange)
+  /// except in Iterate()'s task body, which owns every entry of its columns
+  /// or rows and writes them in place.
+  WARP_ITEM_OWNED(SampleOwnedItemRange)
   SparseMatrix<TopicId> matrix_;
   /// M proposals per token, CSC order. Deliberately unannotated: propose
   /// stages legitimately write their own tokens' slots concurrently (the

@@ -1,9 +1,14 @@
 // Negative fixture: in-place element writes from the listed item-range
-// body, container changes on the driver side, reads elsewhere.
+// body, which the driver side calls; container changes on the driver side,
+// reads elsewhere.
 #include "core/item_owned.h"
 
 void OwnedDemo::Resize(uint32_t n) {
   z_.resize(n);  // not a concurrent body: the barrier side
+}
+
+void OwnedDemo::Sweep(uint32_t n) {
+  FillRowsItemRange(0, n);  // the driver side runs the owning task
 }
 
 void OwnedDemo::FillRowsItemRange(uint32_t begin, uint32_t end) {

@@ -6,6 +6,7 @@
 class OwnedDemo {
  public:
   void Resize(uint32_t n);
+  void Sweep(uint32_t n);
   void FillRowsItemRange(uint32_t begin, uint32_t end);
   void RunBlock(uint32_t worker, uint32_t block);
 

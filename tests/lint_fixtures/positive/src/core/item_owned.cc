@@ -1,5 +1,5 @@
 // Positive fixture: WARP_ITEM_OWNED members written where the exemption
-// does not reach.
+// does not reach, and a listed body called from another concurrent body.
 #include "core/item_owned.h"
 
 void OwnedDemo::FillRowsItemRange(uint32_t begin, uint32_t end) {
@@ -9,4 +9,5 @@ void OwnedDemo::FillRowsItemRange(uint32_t begin, uint32_t end) {
 
 void OwnedDemo::RunBlock(uint32_t worker, uint32_t block) {
   z_[block] = worker;  // concurrent body that owns no whole items
+  FillRowsItemRange(block, block + 1);  // an owning body run inside a block
 }

@@ -177,7 +177,7 @@ TEST_F(PositiveFixtures, JustifiedSuppressionsAreCountedNotReported) {
 
 TEST_F(PositiveFixtures, ContractFiresOnAllFourViolationShapes) {
   auto hits = FindingsFor(run_->output, "contract");
-  ASSERT_EQ(hits.size(), 9u) << run_->output;
+  ASSERT_EQ(hits.size(), 10u) << run_->output;
   EXPECT_EQ(hits[0], "src/core/contracts_demo.cc:11");  // BARRIER_ONLY write
                                                         // in RunBlock
   EXPECT_EQ(hits[1], "src/core/contracts_demo.cc:12");  // IMMUTABLE_AFTER
@@ -189,7 +189,7 @@ TEST_F(PositiveFixtures, ContractFiresOnAllFourViolationShapes) {
                                                         // a barrier task
   EXPECT_EQ(hits[4], "src/core/contracts_demo.h:22");   // unannotated holder
                                                         // of DemoScratch
-  // hits[5..8] are item_owned.{cc,h}: see ItemOwnedScopesInPlaceWrites.
+  // hits[5..9] are item_owned.{cc,h}: see ItemOwnedScopesInPlaceWrites.
   EXPECT_NE(run_->output.find("may only be mutated at stage barriers"),
             std::string::npos);
   EXPECT_NE(run_->output.find("only {Init} (and constructors)"),
@@ -202,20 +202,24 @@ TEST_F(PositiveFixtures, ContractFiresOnAllFourViolationShapes) {
 
 // WARP_ITEM_OWNED: the listed *ItemRange body may write elements in place
 // (item_owned.cc:6 stays quiet), but not the container; an unlisted
-// concurrent body may not write at all; and the list itself must name
-// existing *ItemRange bodies. The negative twin holds the legal shapes.
+// concurrent body may neither write nor call the listed body; and the list
+// itself must name existing *ItemRange bodies. The negative twin holds the
+// legal shapes.
 TEST_F(PositiveFixtures, ItemOwnedScopesInPlaceWrites) {
   auto hits = FindingsFor(run_->output, "contract");
-  ASSERT_EQ(hits.size(), 9u) << run_->output;
+  ASSERT_EQ(hits.size(), 10u) << run_->output;
   EXPECT_EQ(hits[5], "src/core/item_owned.cc:7");   // z_.resize in the task
   EXPECT_EQ(hits[6], "src/core/item_owned.cc:11");  // write from RunBlock
-  EXPECT_EQ(hits[7], "src/core/item_owned.h:11");   // stale listed name
-  EXPECT_EQ(hits[8], "src/core/item_owned.h:14");   // lists a non-task body
+  EXPECT_EQ(hits[7], "src/core/item_owned.cc:12");  // RunBlock calls the task
+  EXPECT_EQ(hits[8], "src/core/item_owned.h:11");   // stale listed name
+  EXPECT_EQ(hits[9], "src/core/item_owned.h:14");   // lists a non-task body
   EXPECT_NE(run_->output.find("never the container itself"),
             std::string::npos);
   EXPECT_NE(run_->output.find("which does not own whole items"),
             std::string::npos);
   EXPECT_NE(run_->output.find("a stale exemption"), std::string::npos);
+  EXPECT_NE(run_->output.find("must run as its own item-range task"),
+            std::string::npos);
   EXPECT_NE(run_->output.find("which is not an *ItemRange task body"),
             std::string::npos);
 }
@@ -274,14 +278,14 @@ TEST(JsonOutput, PositiveSummaryIsMachineReadable) {
             std::string::npos);
   EXPECT_NE(run.output.find("\"warplint-scalar-ref\": 2"),
             std::string::npos);
-  EXPECT_NE(run.output.find("\"warplint-contract\": 9"), std::string::npos);
+  EXPECT_NE(run.output.find("\"warplint-contract\": 10"), std::string::npos);
   EXPECT_NE(run.output.find("\"warplint-rng-stream\": 2"),
             std::string::npos);
   EXPECT_NE(run.output.find("\"warplint-obs-orphan\": 2"),
             std::string::npos);
   EXPECT_NE(run.output.find("\"warplint-stale-nolint\": 1"),
             std::string::npos);
-  EXPECT_NE(run.output.find("\"total\": 42"), std::string::npos)
+  EXPECT_NE(run.output.find("\"total\": 43"), std::string::npos)
       << run.output;
 }
 
@@ -352,7 +356,7 @@ TEST(BaselineMode, KnownFindingsPassOnlyNewOnesFail) {
   LintRun rerun = RunLintCmd("--root '" + Positive() + "' --baseline '" +
                              baseline + "'");
   EXPECT_EQ(rerun.exit_code, 0) << rerun.output;
-  EXPECT_NE(rerun.output.find("0 new violation(s), 42 baselined"),
+  EXPECT_NE(rerun.output.find("0 new violation(s), 43 baselined"),
             std::string::npos)
       << rerun.output;
 
@@ -360,7 +364,7 @@ TEST(BaselineMode, KnownFindingsPassOnlyNewOnesFail) {
   LintRun json = RunLintCmd("--root '" + Positive() + "' --json --baseline '" +
                             baseline + "'");
   EXPECT_EQ(json.exit_code, 0) << json.output;
-  EXPECT_NE(json.output.find("\"baselined\": 42"), std::string::npos)
+  EXPECT_NE(json.output.find("\"baselined\": 43"), std::string::npos)
       << json.output;
   EXPECT_NE(json.output.find("\"total\": 0"), std::string::npos)
       << json.output;

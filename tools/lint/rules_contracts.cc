@@ -22,7 +22,10 @@
 //                           `m_.entry_data(p) = x`), never the container.
 //                           Each listed name must be an *ItemRange body of
 //                           the class, so a renamed or deleted body cannot
-//                           leave its exemption behind.
+//                           leave its exemption behind, and no other
+//                           concurrent body may call it: a listed body runs
+//                           as its own task, never inside a block whose
+//                           items other blocks share.
 //
 // Writes are detected through the owning class's own method bodies (bare
 // `member` / `this->member`) and through *known instance paths*: if class D
@@ -206,12 +209,42 @@ void CheckContracts(const std::vector<SourceFile>& files,
     }
   }
 
+  // (f) a listed body runs only as its own task: a call from another
+  // concurrent body would carry its in-place writes into a block that does
+  // not own whole items.
+  std::map<std::string, std::vector<std::pair<std::string, std::string>>>
+      owned_writers;  // class -> (writer body, member)
+  for (const ClassDef& c : model.classes) {
+    for (const FieldDecl& fd : c.fields) {
+      if (fd.contract != Contract::kItemOwned) continue;
+      for (const std::string& w : fd.writers) {
+        owned_writers[c.name].push_back({w, fd.name});
+      }
+    }
+  }
+
   for (const SourceFile& f : files) {
     const std::vector<BodyRange>& bodies = bodies_of[f.rel];
     for (const BodyRange& b : bodies) {
       auto it = by_ctx.find(b.cls);
       if (it == by_ctx.end()) continue;
       const bool hot = IsContractHotBody(b.name);
+      auto ow = owned_writers.find(b.cls);
+      for (size_t ln = b.begin_line;
+           hot && ow != owned_writers.end() && ln <= b.end_line &&
+           ln <= f.code.size();
+           ++ln) {
+        for (const auto& [writer, member] : ow->second) {
+          if (writer == b.name || !HasWord(f.code[ln - 1], writer)) continue;
+          out->push_back({f.rel, ln, "contract",
+                          "concurrent body '" + b.name + "' calls '" +
+                              writer + "', which writes WARP_ITEM_OWNED '" +
+                              member +
+                              "' in place — it must run as its own "
+                              "item-range task, not inside another body",
+                          false});
+        }
+      }
       for (size_t ln = b.begin_line; ln <= b.end_line && ln <= f.code.size();
            ++ln) {
         const std::string& s = f.code[ln - 1];
