@@ -8,13 +8,13 @@
 // It also prints where each process's time goes (DistResult's phases, in
 // seconds per sweep). On a 4-vCPU Xeon at the dist-2w shape (--scale 0.003
 // --k 200 --iters 10, the committed BENCH_dist_transport.json), 2 and 4
-// workers measure 1.26x and 1.20x over 1 worker and run at 0.97x and 0.92x
-// of one in-process Iterate() thread (0.082 s per sweep). At 4 workers
-// (0.089 s per sweep) a worker computes its blocks for 0.033 s, under
-// half of the 1-worker 0.087 s, but spends 0.029 s applying peers' deltas
-// and running EndStage on its full replica, more than the 0.015 s barrier
-// alone at 1 worker, and 0.022 s waiting for the deltas the coordinator
-// relays (its relay sends take 0.032 s per sweep).
+// workers measure 1.43x and 1.40x over 1 worker and run at 0.88x and 0.86x
+// of one in-process Iterate() thread (0.077 s per sweep). At 4 workers
+// (0.089 s per sweep) a worker computes its blocks for 0.033 s, a third
+// of the 1-worker 0.102 s, but spends 0.029 s applying peers' deltas and
+// running EndStage on its full replica, more than the 0.018 s barrier
+// alone at 1 worker, and 0.023 s waiting for the deltas the coordinator
+// relays (its relay sends take 0.034 s per sweep).
 #include <algorithm>
 #include <cstdio>
 #include <string>
